@@ -5,27 +5,28 @@
 //! is ~32 dependent loads per packet. A [`FlatFib`] is compiled *from* a
 //! trie and answers longest-prefix match in one or two array indexes:
 //!
-//! * **IPv4** uses the classic DIR-24-8 layout: a 2^24-entry base table
-//!   indexed by the top 24 address bits, plus 256-entry overflow chunks for
-//!   slots covered by a /25–/32. Routes of length ≤ 24 resolve with a
-//!   single load; longer ones with two.
-//! * **IPv6** uses a stride-8 multibit trie: each node has 256 slots, each
-//!   carrying both a child pointer and the best matching entry for that
-//!   byte value, so lookup walks at most 16 nodes with no backtracking.
+//! It uses the classic DIR-24-8 layout: a 2^24-entry base table indexed by
+//! the top 24 address bits, plus 256-entry overflow chunks for slots
+//! covered by a /25–/32. Routes of length ≤ 24 resolve with a single load;
+//! longer ones with two.
+//!
+//! The table is IPv4-only, like the data plane it serves (`IpPacket`, mux
+//! egress and delivery all carry IPv4). IPv6 prefixes in the source trie
+//! are ignored: they are never compiled and never answered.
 //!
 //! Synchronisation is generation-based and lazy. Mutators call
 //! [`FlatFib::mark_dirty`] with the changed prefix; nothing is recompiled
 //! until [`FlatFib::sync`] is called with the authoritative trie (typically
 //! right before a batch of lookups). A sync with few dirty IPv4 prefixes
 //! patches only the covered base-table slots; above
-//! [`CHURN_REBUILD_THRESHOLD`] (or on any IPv6 change) it rebuilds from
-//! scratch, which is cheaper than many scattered patches. Every sync that
-//! changed anything bumps [`FlatFib::generation`], which downstream flow
-//! caches compare to invalidate themselves.
+//! [`CHURN_REBUILD_THRESHOLD`] it rebuilds from scratch, which is cheaper
+//! than many scattered patches. Every sync that changed anything bumps
+//! [`FlatFib::generation`], which downstream flow caches compare to
+//! invalidate themselves.
 
 use crate::trie::PrefixTrie;
 use crate::types::{Afi, Prefix};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr};
 
 /// Above this many dirty IPv4 prefixes a sync abandons per-prefix patching
 /// and rebuilds the whole table; bulk RIB swings (session reset, initial
@@ -55,25 +56,6 @@ impl Default for Chunk {
     }
 }
 
-/// Stride-8 multibit trie node for IPv6.
-#[derive(Clone)]
-struct Node6 {
-    /// Child node index + 1 (0 = none) per byte value.
-    children: Box<[u32; 256]>,
-    /// Best-match entry index + 1 (0 = none) per byte value, covering all
-    /// prefixes whose length lands within this node's stride.
-    entries: Box<[u32; 256]>,
-}
-
-impl Node6 {
-    fn new() -> Self {
-        Node6 {
-            children: Box::new([0; 256]),
-            entries: Box::new([0; 256]),
-        }
-    }
-}
-
 /// A compiled, immutable-between-syncs longest-prefix-match table.
 ///
 /// Values are *entry indexes*: [`FlatFib::lookup`] returns the matched
@@ -86,11 +68,9 @@ pub struct FlatFib {
     free_chunks: Vec<u32>,
     /// Matched `(prefix, value)` pairs; base/chunk slots store index+1.
     entries: Vec<(Prefix, u32)>,
-    v6_nodes: Vec<Node6>,
     /// Dirty IPv4 prefixes accumulated since the last sync. `None` means
     /// "too many — full rebuild" (the overflow state of the churn counter).
     dirty_v4: Option<Vec<Prefix>>,
-    dirty_v6: bool,
     /// Monotone counter bumped on every sync that changed the tables; flow
     /// caches key their validity on this.
     generation: u64,
@@ -124,9 +104,7 @@ impl FlatFib {
             chunks: Vec::new(),
             free_chunks: Vec::new(),
             entries: Vec::new(),
-            v6_nodes: Vec::new(),
             dirty_v4: Some(Vec::new()),
-            dirty_v6: false,
             generation: 0,
             built: false,
             last_sync: None,
@@ -160,7 +138,6 @@ impl FlatFib {
     /// Whether a sync would do any work.
     pub fn is_dirty(&self) -> bool {
         !self.built
-            || self.dirty_v6
             || match &self.dirty_v4 {
                 None => true,
                 Some(d) => !d.is_empty(),
@@ -169,34 +146,28 @@ impl FlatFib {
 
     /// Record that `prefix`'s mapping in the source trie changed (installed,
     /// removed, or its value/delivery changed). Cheap; the actual recompile
-    /// happens at the next [`sync`](Self::sync).
+    /// happens at the next [`sync`](Self::sync). An IPv6 prefix is a no-op:
+    /// the compiled table holds IPv4 only.
     pub fn mark_dirty(&mut self, prefix: &Prefix) {
-        match prefix.afi() {
-            Afi::Ipv4 => {
-                if let Some(dirty) = &mut self.dirty_v4 {
-                    // Dedup before counting toward the threshold: sustained
-                    // churn concentrated on a few prefixes (one flapping
-                    // session re-dirtying the same /24 every update) must
-                    // not masquerade as a wide dirty set and force a
-                    // wholesale rebuild. The crossover to rebuild is then
-                    // monotone in the number of DISTINCT dirty prefixes.
-                    // Linear scan is fine: the list is capped at
-                    // CHURN_REBUILD_THRESHOLD entries.
-                    if dirty.contains(prefix) {
-                        return;
-                    }
-                    if dirty.len() >= CHURN_REBUILD_THRESHOLD {
-                        self.dirty_v4 = None;
-                    } else {
-                        dirty.push(*prefix);
-                    }
-                }
+        if prefix.afi() != Afi::Ipv4 {
+            return;
+        }
+        if let Some(dirty) = &mut self.dirty_v4 {
+            // Dedup before counting toward the threshold: sustained churn
+            // concentrated on a few prefixes (one flapping session
+            // re-dirtying the same /24 every update) must not masquerade as
+            // a wide dirty set and force a wholesale rebuild. The crossover
+            // to rebuild is then monotone in the number of DISTINCT dirty
+            // prefixes. Linear scan is fine: the list is capped at
+            // CHURN_REBUILD_THRESHOLD entries.
+            if dirty.contains(prefix) {
+                return;
             }
-            // The v6 stride trie shares interior nodes between prefixes, so
-            // an incremental patch would need subtree refcounting; v6 tables
-            // here are small (experiments announce a handful of prefixes)
-            // and a rebuild is O(table), so we keep it simple.
-            Afi::Ipv6 => self.dirty_v6 = true,
+            if dirty.len() >= CHURN_REBUILD_THRESHOLD {
+                self.dirty_v4 = None;
+            } else {
+                dirty.push(*prefix);
+            }
         }
     }
 
@@ -206,7 +177,11 @@ impl FlatFib {
         if !self.is_dirty() {
             return false;
         }
-        if !self.built || self.dirty_v4.is_none() {
+        // Patches intern fresh entries and only a rebuild clears them, so a
+        // long run of patch-only churn falls back to a rebuild once the
+        // garbage outweighs the live table.
+        let bloated = self.entries.len() > 2 * trie.len() + CHURN_REBUILD_THRESHOLD;
+        if !self.built || self.dirty_v4.is_none() || bloated {
             self.rebuild(trie);
             self.rebuilds += 1;
             self.last_sync = Some((true, 0));
@@ -216,16 +191,9 @@ impl FlatFib {
                 self.patch_v4(trie, p);
             }
             self.dirty_v4 = Some(Vec::new());
-            if self.dirty_v6 {
-                self.rebuild_v6(trie);
-            }
             self.patch_rounds += 1;
             self.patched_prefixes += dirty.len() as u64;
             self.last_sync = Some((false, dirty.len() as u64));
-        }
-        self.dirty_v6 = false;
-        if self.dirty_v4.is_none() {
-            self.dirty_v4 = Some(Vec::new());
         }
         self.built = true;
         self.generation += 1;
@@ -236,10 +204,18 @@ impl FlatFib {
     /// [`sync`](Self::sync) first); an unbuilt FIB answers `None` for
     /// everything, which callers must not mistake for "no route".
     #[inline]
-    pub fn lookup(&self, addr: IpAddr) -> Option<(Prefix, u32)> {
-        match addr {
-            IpAddr::V4(a) => self.lookup_v4(a),
-            IpAddr::V6(a) => self.lookup_v6(a),
+    pub fn lookup(&self, addr: Ipv4Addr) -> Option<(Prefix, u32)> {
+        let a = u32::from(addr);
+        let slot = self.base[(a >> 8) as usize];
+        let idx = if slot & CHUNK_FLAG != 0 {
+            self.chunks[(slot & !CHUNK_FLAG) as usize].slots[(a & 0xff) as usize]
+        } else {
+            slot
+        };
+        if idx == 0 {
+            None
+        } else {
+            Some(self.entries[(idx - 1) as usize])
         }
     }
 
@@ -248,34 +224,13 @@ impl FlatFib {
     /// dereferencing the entry table, so a /24-or-shorter hit is a single
     /// array load. Same build requirement as `lookup`.
     #[inline]
-    pub fn covers(&self, addr: IpAddr) -> bool {
-        match addr {
-            IpAddr::V4(a) => {
-                let a = u32::from(a);
-                let slot = self.base[(a >> 8) as usize];
-                if slot & CHUNK_FLAG != 0 {
-                    self.chunks[(slot & !CHUNK_FLAG) as usize].slots[(a & 0xff) as usize] != 0
-                } else {
-                    slot != 0
-                }
-            }
-            IpAddr::V6(a) => {
-                if self.v6_nodes.is_empty() {
-                    return false;
-                }
-                let mut node = &self.v6_nodes[0];
-                for b in a.octets() {
-                    if node.entries[b as usize] != 0 {
-                        return true;
-                    }
-                    let c = node.children[b as usize];
-                    if c == 0 {
-                        break;
-                    }
-                    node = &self.v6_nodes[(c - 1) as usize];
-                }
-                false
-            }
+    pub fn covers(&self, addr: Ipv4Addr) -> bool {
+        let a = u32::from(addr);
+        let slot = self.base[(a >> 8) as usize];
+        if slot & CHUNK_FLAG != 0 {
+            self.chunks[(slot & !CHUNK_FLAG) as usize].slots[(a & 0xff) as usize] != 0
+        } else {
+            slot != 0
         }
     }
 
@@ -299,51 +254,7 @@ impl FlatFib {
         std::hint::black_box(self.base[idx]);
     }
 
-    #[inline]
-    fn lookup_v4(&self, addr: Ipv4Addr) -> Option<(Prefix, u32)> {
-        let a = u32::from(addr);
-        let slot = self.base[(a >> 8) as usize];
-        let idx = if slot & CHUNK_FLAG != 0 {
-            self.chunks[(slot & !CHUNK_FLAG) as usize].slots[(a & 0xff) as usize]
-        } else {
-            slot
-        };
-        if idx == 0 {
-            None
-        } else {
-            let (p, v) = self.entries[(idx - 1) as usize];
-            Some((p, v))
-        }
-    }
-
-    #[inline]
-    fn lookup_v6(&self, addr: Ipv6Addr) -> Option<(Prefix, u32)> {
-        if self.v6_nodes.is_empty() {
-            return None;
-        }
-        let octets = addr.octets();
-        let mut node = &self.v6_nodes[0];
-        let mut best = 0u32;
-        for b in octets {
-            let e = node.entries[b as usize];
-            if e != 0 {
-                best = e;
-            }
-            let c = node.children[b as usize];
-            if c == 0 {
-                break;
-            }
-            node = &self.v6_nodes[(c - 1) as usize];
-        }
-        if best == 0 {
-            None
-        } else {
-            let (p, v) = self.entries[(best - 1) as usize];
-            Some((p, v))
-        }
-    }
-
-    /// Full rebuild of both families from the trie.
+    /// Full rebuild from the IPv4 routes of the trie.
     fn rebuild(&mut self, trie: &PrefixTrie<u32>) {
         // Reallocate rather than zero in place: a fresh `vec![0; …]` is a
         // calloc whose pages stay uncommitted until written, so sparse
@@ -368,7 +279,6 @@ impl FlatFib {
             let e = self.intern(p, v);
             self.paint_v4(p, e);
         }
-        self.rebuild_v6(trie);
     }
 
     /// Allocate an entry slot, returning its index+1 code.
@@ -463,14 +373,21 @@ impl FlatFib {
             self.rebuild(trie);
             return;
         }
+        let mut last_coarse = None;
         for slot in lo..hi {
-            self.recompute_slot(trie, slot as u32);
+            self.recompute_slot(trie, slot as u32, &mut last_coarse);
         }
     }
 
     /// Recompute one /24 base slot (and its chunk, if any /25+ lives there)
-    /// from the trie.
-    fn recompute_slot(&mut self, trie: &PrefixTrie<u32>, slot: u32) {
+    /// from the trie. `last_coarse` carries the previous slot's coarse
+    /// `(prefix, code)` so a run of slots under one route shares one entry.
+    fn recompute_slot(
+        &mut self,
+        trie: &PrefixTrie<u32>,
+        slot: u32,
+        last_coarse: &mut Option<(Prefix, u32)>,
+    ) {
         let slot_addr = Ipv4Addr::from(slot << 8);
         let slot_prefix = Prefix::V4 {
             addr: slot_addr,
@@ -478,10 +395,17 @@ impl FlatFib {
         };
         // Best route at /24 or shorter covering this slot.
         let coarse = trie.lookup_at_most(IpAddr::V4(slot_addr), 24);
-        // Patches always intern a fresh entry rather than searching the
-        // list for an equal one (a linear scan would be wasteful at DFZ
-        // scale); rebuilds clear the list, bounding the garbage.
-        let coarse_code = coarse.map(|(p, v)| (self.intern(p, *v), p.len()));
+        // Patches intern a fresh entry rather than searching the list for
+        // an equal one (a linear scan would be wasteful at DFZ scale);
+        // `sync` rebuilds once the garbage outgrows the table.
+        let coarse_code = coarse.map(|(p, v)| match *last_coarse {
+            Some((lp, code)) if lp == p => code,
+            _ => {
+                let code = self.intern(p, *v);
+                *last_coarse = Some((p, code));
+                code
+            }
+        });
         // Any /25–/32 under this slot?
         let mut fine: Vec<(Prefix, u32)> = trie
             .iter_under(&slot_prefix)
@@ -494,7 +418,7 @@ impl FlatFib {
             if old & CHUNK_FLAG != 0 {
                 self.free_chunks.push(old & !CHUNK_FLAG);
             }
-            self.base[slot as usize] = coarse_code.map(|(c, _)| c).unwrap_or(0);
+            self.base[slot as usize] = coarse_code.unwrap_or(0);
             return;
         }
         let ci = if old & CHUNK_FLAG != 0 {
@@ -508,7 +432,7 @@ impl FlatFib {
                 }
             }
         };
-        let fill = coarse_code.map(|(c, _)| c).unwrap_or(0);
+        let fill = coarse_code.unwrap_or(0);
         self.chunks[ci].slots.fill(fill);
         fine.sort_by_key(|(p, _)| p.len());
         for (p, v) in fine {
@@ -525,72 +449,11 @@ impl FlatFib {
         self.base[slot as usize] = CHUNK_FLAG | ci as u32;
     }
 
-    /// Rebuild the IPv6 stride-8 trie from scratch.
-    fn rebuild_v6(&mut self, trie: &PrefixTrie<u32>) {
-        self.v6_nodes.clear();
-        let mut have_v6 = false;
-        for (p, v) in trie.iter() {
-            let Prefix::V6 { addr, len } = p else {
-                continue;
-            };
-            if !have_v6 {
-                self.v6_nodes.push(Node6::new());
-                have_v6 = true;
-            }
-            let e = self.intern(p, *v);
-            let octets = addr.octets();
-            let full = (len / 8) as usize; // complete strides
-            let rem = len % 8;
-            let mut ni = 0usize;
-            for &b in octets.iter().take(full.min(15)) {
-                let c = self.v6_nodes[ni].children[b as usize];
-                ni = if c == 0 {
-                    self.v6_nodes.push(Node6::new());
-                    let new = self.v6_nodes.len() as u32 - 1;
-                    self.v6_nodes[ni].children[b as usize] = new + 1;
-                    new as usize
-                } else {
-                    (c - 1) as usize
-                };
-            }
-            if full >= 16 {
-                // /121..=/128 land in the 16th node's entry slots; a /128
-                // covers exactly one byte value.
-                let b = octets[15] as usize;
-                let node = &mut self.v6_nodes[ni];
-                set_best(node, b, b + 1, e, len, &self.entries);
-                continue;
-            }
-            // The prefix ends within stride `full`: it covers byte values
-            // sharing its top `rem` bits.
-            let b = octets[full] as usize;
-            let (lo, hi) = if rem == 0 {
-                (0usize, 256)
-            } else {
-                let lo = b & (0xff << (8 - rem)) as usize;
-                (lo, lo + (1usize << (8 - rem)))
-            };
-            let node = &mut self.v6_nodes[ni];
-            set_best(node, lo, hi, e, len, &self.entries);
-        }
-    }
-
     /// Approximate heap size of the compiled structures, for stats.
     pub fn memory_bytes(&self) -> usize {
         self.base.len() * 4
             + self.chunks.len() * 256 * 4
             + self.entries.len() * std::mem::size_of::<(Prefix, u32)>()
-            + self.v6_nodes.len() * 256 * 8
-    }
-}
-
-/// Write entry code `e` (backing length `len`) into `node.entries[lo..hi]`
-/// wherever the current occupant is less specific.
-fn set_best(node: &mut Node6, lo: usize, hi: usize, e: u32, len: u8, entries: &[(Prefix, u32)]) {
-    for s in &mut node.entries[lo..hi] {
-        if *s == 0 || entries[(*s - 1) as usize].0.len() <= len {
-            *s = e;
-        }
     }
 }
 
@@ -610,8 +473,8 @@ mod tests {
     }
 
     fn assert_agree(t: &PrefixTrie<u32>, f: &FlatFib, addr: &str) {
-        let addr: IpAddr = addr.parse().unwrap();
-        let want = t.lookup(addr).map(|(p, v)| (p, *v));
+        let addr: Ipv4Addr = addr.parse().unwrap();
+        let want = t.lookup(addr.into()).map(|(p, v)| (p, *v));
         assert_eq!(f.lookup(addr), want, "disagree on {addr}");
     }
 
@@ -639,31 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn v6_basic_lpm() {
-        let (t, f) = built(&[
-            ("::/0", 1),
-            ("2001:db8::/32", 2),
-            ("2001:db8:1::/48", 3),
-            ("2001:db8:1::7/128", 4),
-            ("2804:269c::/33", 5),
-        ]);
-        for a in [
-            "2001:db8:1::7",
-            "2001:db8:1::8",
-            "2001:db8:2::1",
-            "2001:db9::1",
-            "2804:269c::1",
-            "2804:269c:8000::1",
-        ] {
-            assert_agree(&t, &f, a);
-        }
-    }
-
-    #[test]
     fn empty_fib_misses() {
         let (t, f) = built(&[]);
         assert_agree(&t, &f, "10.0.0.1");
-        assert_agree(&t, &f, "2001:db8::1");
     }
 
     #[test]
@@ -712,7 +553,7 @@ mod tests {
         }
         assert!(f.sync(&t));
         for i in 0..(CHURN_REBUILD_THRESHOLD as u32 + 10) {
-            let a = IpAddr::V4(Ipv4Addr::from(0x0a00_0001 | (i << 8)));
+            let a = Ipv4Addr::from(0x0a00_0001 | (i << 8));
             assert_eq!(f.lookup(a).map(|(_, v)| v), Some(100 + i));
         }
     }
@@ -782,23 +623,66 @@ mod tests {
                 assert_eq!(patched as usize, distinct, "patched exactly the dirty set");
             }
             for i in 0..distinct as u32 {
-                let a = IpAddr::V4(Ipv4Addr::from(0x0a00_0001 | (i << 8)));
+                let a = Ipv4Addr::from(0x0a00_0001 | (i << 8));
                 assert_eq!(f.lookup(a).map(|(_, v)| v), Some(100 + i + 2));
             }
         }
     }
 
     #[test]
-    fn v6_change_rebuilds_and_stays_consistent() {
-        let (mut t, mut f) = built(&[("2001:db8::/32", 1)]);
-        t.insert(prefix("2001:db8:ffff::/48"), 2);
-        f.mark_dirty(&prefix("2001:db8:ffff::/48"));
-        f.sync(&t);
-        assert_agree(&t, &f, "2001:db8:ffff::1");
-        t.remove(&prefix("2001:db8::/32"));
-        f.mark_dirty(&prefix("2001:db8::/32"));
-        f.sync(&t);
-        assert_agree(&t, &f, "2001:db8:1::1");
-        assert_agree(&t, &f, "2001:db8:ffff::1");
+    fn patch_only_churn_keeps_entries_bounded() {
+        // Regression: every patch interns fresh entries and only a rebuild
+        // cleared them, so churn below the rebuild threshold grew
+        // `entries` without bound. Flap a fixed table's prefixes one per
+        // sync for thousands of rounds: the list must stay within the
+        // fallback bound plus one round's growth.
+        let mut pairs = vec![
+            ("10.0.0.0/8".to_string(), 1),
+            ("10.1.0.0/16".to_string(), 2),
+            ("10.1.2.0/24".to_string(), 3),
+            ("10.1.2.128/25".to_string(), 4),
+            ("10.1.2.200/30".to_string(), 5),
+        ];
+        for i in 0..200u32 {
+            pairs.push((format!("10.2.{i}.0/24"), 10 + i));
+        }
+        let refs: Vec<(&str, u32)> = pairs.iter().map(|(p, v)| (p.as_str(), *v)).collect();
+        let (mut t, mut f) = built(&refs);
+        let flapping = [
+            "10.1.0.0/16",
+            "10.1.2.0/24",
+            "10.1.2.128/25",
+            "10.1.2.200/30",
+        ];
+        // The worst round is the /16: its coarse entry (interned again
+        // after the 10.1.2.0/24 slot breaks the run), that /24, and the
+        // /25 and /30 under it.
+        let max_round_growth = 5;
+        let bound = 2 * t.len() + CHURN_REBUILD_THRESHOLD + max_round_growth;
+        for round in 0..3000u32 {
+            let p = prefix(flapping[round as usize % flapping.len()]);
+            t.insert(p, 1000 + round);
+            f.mark_dirty(&p);
+            assert!(f.sync(&t));
+            assert!(
+                f.entries.len() <= bound,
+                "round {round}: {} entries for a {}-route table",
+                f.entries.len(),
+                t.len()
+            );
+            for a in [
+                "10.1.2.201",
+                "10.1.2.130",
+                "10.1.2.1",
+                "10.1.9.9",
+                "10.2.7.1",
+                "10.9.0.1",
+            ] {
+                assert_agree(&t, &f, a);
+            }
+        }
+        let (rebuilds, patch_rounds, _) = f.sync_totals();
+        assert!(rebuilds > 1, "the bound never forced a rebuild");
+        assert!(patch_rounds > rebuilds, "churn should mostly patch");
     }
 }

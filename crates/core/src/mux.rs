@@ -18,15 +18,16 @@
 //! # The fast path
 //!
 //! Per-neighbor tables and the delivery table are [`PrefixTrie`]s — the
-//! mutable source of truth the control plane edits. Forwarding does not
-//! walk them per packet: each table lazily compiles a
-//! [`FlatFib`] (DIR-24-8 for IPv4, stride-8
-//! for IPv6) and fronts it with a small direct-mapped flow cache keyed on
-//! the destination address and the FIB's generation counter. Route
-//! install/remove marks the FIB dirty; the next lookup re-syncs it, which
-//! bumps the generation and thereby invalidates the flow cache without
-//! touching it. [`VbgpMux::set_fast_path`] disables all of this (pure trie
-//! walks) for differential testing and baseline benchmarks.
+//! mutable source of truth the control plane edits. The data plane is
+//! IPv4-only, so the router installs no mux state for an IPv6 route and
+//! these tables hold IPv4 routes. Forwarding does not walk them per packet:
+//! each table lazily compiles a DIR-24-8 [`FlatFib`] and fronts it with a
+//! small direct-mapped flow cache keyed on the destination address and the
+//! FIB's generation counter. Route install/remove marks the FIB dirty; the
+//! next lookup re-syncs it, which bumps the generation and thereby
+//! invalidates the flow cache without touching it.
+//! [`VbgpMux::set_fast_path`] disables all of this (pure trie walks) for
+//! differential testing and baseline benchmarks.
 //!
 //! Neighbor and experiment state lives in dense slot arrays indexed by
 //! compact ids handed out at `add_*` time; the classifier decodes the
@@ -249,7 +250,7 @@ impl NeighborEntry {
             return hit;
         }
         stats.flow_cache_misses += 1;
-        let hit = fib.covers(dst_ip.into());
+        let hit = fib.covers(dst_ip);
         cache.put(key, generation, hit);
         hit
     }
@@ -862,7 +863,7 @@ impl VbgpMux {
                     }
                     None => {
                         self.stats.flow_cache_misses += 1;
-                        let hit = fib.covers(ip.into());
+                        let hit = fib.covers(ip);
                         cache.put(key, generation, hit);
                         hit
                     }
@@ -908,7 +909,7 @@ impl VbgpMux {
                 return hit;
             }
             self.stats.flow_cache_misses += 1;
-            let hit = fib.lookup(dst_ip.into()).map(|(_, idx)| idx);
+            let hit = fib.lookup(dst_ip).map(|(_, idx)| idx);
             cache.put(key, generation, hit);
             hit
         } else {
@@ -1063,8 +1064,8 @@ impl VbgpMux {
                 self.stats.note_fib_sync(&self.obs, entry.id.0, fib);
             }
             for (prefix, _) in entry.table.iter() {
-                for addr in probe_addrs(&prefix) {
-                    let want = entry.table.lookup(addr).map(|(p, _)| p);
+                for addr in probe_addrs(&prefix).into_iter().flatten() {
+                    let want = entry.table.lookup(addr.into()).map(|(p, _)| p);
                     let got = fib.lookup(addr).map(|(p, _)| p);
                     if want != got {
                         problems.push(format!(
@@ -1080,8 +1081,8 @@ impl VbgpMux {
             self.stats.note_fib_sync(&self.obs, DELIVERY_TABLE, fib);
         }
         for (prefix, idx) in self.delivery.iter() {
-            for addr in probe_addrs(&prefix) {
-                let want = self.delivery.lookup(addr).map(|(p, v)| (p, *v));
+            for addr in probe_addrs(&prefix).into_iter().flatten() {
+                let want = self.delivery.lookup(addr.into()).map(|(p, v)| (p, *v));
                 let got = fib.lookup(addr);
                 if want != got {
                     problems.push(format!(
@@ -1097,34 +1098,19 @@ impl VbgpMux {
     }
 }
 
-/// The first and last host addresses a prefix covers (LPM probe points).
-fn probe_addrs(prefix: &Prefix) -> [std::net::IpAddr; 2] {
-    match prefix {
-        Prefix::V4 { addr, len } => {
-            let base = u32::from(*addr);
-            let mask = if *len == 0 {
-                0
-            } else {
-                u32::MAX << (32 - *len as u32)
-            };
-            [
-                std::net::IpAddr::V4(Ipv4Addr::from(base)),
-                std::net::IpAddr::V4(Ipv4Addr::from(base | !mask)),
-            ]
-        }
-        Prefix::V6 { addr, len } => {
-            let base = u128::from(*addr);
-            let mask = if *len == 0 {
-                0
-            } else {
-                u128::MAX << (128 - *len as u32)
-            };
-            [
-                std::net::IpAddr::V6(std::net::Ipv6Addr::from(base)),
-                std::net::IpAddr::V6(std::net::Ipv6Addr::from(base | !mask)),
-            ]
-        }
-    }
+/// The first and last host addresses an IPv4 prefix covers (LPM probe
+/// points). `None` for IPv6, which the compiled FIBs do not hold.
+fn probe_addrs(prefix: &Prefix) -> Option<[Ipv4Addr; 2]> {
+    let Prefix::V4 { addr, len } = prefix else {
+        return None;
+    };
+    let base = u32::from(*addr);
+    let mask = if *len == 0 {
+        0
+    } else {
+        u32::MAX << (32 - *len as u32)
+    };
+    Some([Ipv4Addr::from(base), Ipv4Addr::from(base | !mask)])
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use std::net::{IpAddr, Ipv4Addr};
 use peering_bgp::policy::Policy;
 use peering_bgp::rib::{PeerId, Route};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig};
-use peering_bgp::types::{Asn, PathId, Prefix, RouterId};
+use peering_bgp::types::{Afi, Asn, PathId, Prefix, RouterId};
 use peering_netsim::arp::{ArpOp, ArpPacket};
 use peering_netsim::{
     Bytes, Ctx, EtherFrame, EtherType, IcmpPacket, IpPacket, IpProto, MacAddr, Node, PortId,
@@ -133,6 +133,14 @@ pub struct BackboneConfig {
 enum Installed {
     NeighborRoute(NeighborId),
     DeliveryEntry(Delivery),
+}
+
+/// Whether a route for `prefix` gets data-plane state (a neighbor-table
+/// route or a delivery entry). The data plane is IPv4-only, so an IPv6
+/// route stays in the control plane (Adj-RIB-In, Loc-RIB, exports) and
+/// installs nothing in the mux.
+fn in_data_plane(prefix: &Prefix) -> bool {
+    prefix.afi() == Afi::Ipv4
 }
 
 /// Router counters.
@@ -648,6 +656,9 @@ impl VbgpRouter {
     }
 
     fn on_route_learned(&mut self, ctx: &mut Ctx<'_>, peer: PeerId, route: Route) {
+        if !in_data_plane(&route.prefix) {
+            return;
+        }
         let key = (peer, route.prefix, route.path_id);
         // Replacement: remove the previous installation first.
         if let Some(old) = self.installed.remove(&key) {
@@ -823,7 +834,7 @@ impl VbgpRouter {
             let Some(rib) = self.host.speaker.adj_rib_in(peer) else {
                 continue;
             };
-            for route in rib.iter() {
+            for route in rib.iter().filter(|r| in_data_plane(&r.prefix)) {
                 let placeable = if self.exp_peers.contains_key(&peer) {
                     true
                 } else {

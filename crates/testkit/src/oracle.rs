@@ -20,7 +20,7 @@
 //!    ([`VbgpRouter::verify_consistency`], which also asserts that no
 //!    experiment route survives a dead tunnel).
 //! 5. **Data-plane compilation.** Each router's compiled fast-path FIBs
-//!    (the DIR-24-8 / stride-8 structures packets actually consult) must
+//!    (the DIR-24-8 tables packets actually consult) must
 //!    agree with the per-neighbor and delivery tables they were compiled
 //!    from ([`VbgpRouter::verify_data_plane`]) — a stale generation or a
 //!    bad incremental patch after churn shows up here.

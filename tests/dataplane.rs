@@ -6,12 +6,12 @@
 //! threshold-triggered full rebuilds, and with chunk spill/reclaim on the
 //! IPv4 /25–/32 path. These tests drive seeded random install/remove
 //! churn through both structures and compare longest-prefix-match answers
-//! on random probe addresses after every sync — for both address
-//! families. A second battery drives the same kind of churn through a
-//! whole [`VbgpMux`] and checks the fast path (FIB + flow cache, single
-//! and batched) against the slow trie-walking path.
+//! on random probe addresses after every sync (IPv4 only: the data plane,
+//! and so the FIB, holds no IPv6). A second battery drives the same kind
+//! of churn through a whole [`VbgpMux`] and checks the fast path (FIB +
+//! flow cache, single and batched) against the slow trie-walking path.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 use peering_repro::bgp::flatfib::{FlatFib, CHURN_REBUILD_THRESHOLD};
 use peering_repro::bgp::trie::PrefixTrie;
@@ -45,35 +45,14 @@ impl Gen {
         Prefix::v4(Ipv4Addr::from(masked), len).unwrap()
     }
 
-    /// A random IPv6 prefix from a narrow pool (nesting, byte-aligned and
-    /// unaligned lengths, host routes).
-    fn v6_prefix(&mut self) -> Prefix {
-        let len = 16 + (self.next() % 113) as u8; // 16..=128
-        let addr = (0x2001_0db8u128 << 96) | (self.next() as u128 & 0xffff_ffff_ffff);
-        let masked = if len == 128 {
-            addr
-        } else {
-            addr & (u128::MAX << (128 - u32::from(len)))
-        };
-        Prefix::v6(Ipv6Addr::from(masked), len).unwrap()
-    }
-
     /// A probe address near the churn pool (so most probes are covered).
-    fn v4_addr(&mut self) -> IpAddr {
-        IpAddr::V4(Ipv4Addr::from(
-            0x0a00_0000 | (self.next() as u32 & 0x001f_ffff),
-        ))
-    }
-
-    fn v6_addr(&mut self) -> IpAddr {
-        IpAddr::V6(Ipv6Addr::from(
-            (0x2001_0db8u128 << 96) | (self.next() as u128 & 0x1_ffff_ffff_ffff),
-        ))
+    fn v4_addr(&mut self) -> Ipv4Addr {
+        Ipv4Addr::from(0x0a00_0000 | (self.next() as u32 & 0x001f_ffff))
     }
 }
 
-fn assert_fib_matches(trie: &PrefixTrie<u32>, fib: &FlatFib, addr: IpAddr, ctx: &str) {
-    let want = trie.lookup(addr).map(|(p, v)| (p, *v));
+fn assert_fib_matches(trie: &PrefixTrie<u32>, fib: &FlatFib, addr: Ipv4Addr, ctx: &str) {
+    let want = trie.lookup(addr.into()).map(|(p, v)| (p, *v));
     assert_eq!(fib.lookup(addr), want, "{ctx}: diverged on {addr}");
     assert_eq!(
         fib.covers(addr),
@@ -84,7 +63,7 @@ fn assert_fib_matches(trie: &PrefixTrie<u32>, fib: &FlatFib, addr: IpAddr, ctx: 
 
 /// The core differential property: under random install/remove churn with
 /// syncs at random points, the compiled FIB answers every lookup exactly
-/// like the trie — both families, incremental-patch and rebuild paths.
+/// like the trie — incremental-patch and rebuild paths.
 #[test]
 fn flat_fib_matches_trie_under_random_churn() {
     for seed in 0..4u64 {
@@ -97,10 +76,7 @@ fn flat_fib_matches_trie_under_random_churn() {
             // rebuild threshold so both patch and rebuild paths run.
             let burst = 1 + (g.next() as usize % (CHURN_REBUILD_THRESHOLD + 8));
             for _ in 0..burst {
-                let p = match g.next() % 4 {
-                    0 => g.v6_prefix(),
-                    _ => g.v4_prefix(),
-                };
+                let p = g.v4_prefix();
                 let remove = !live.is_empty() && g.next().is_multiple_of(3);
                 if remove {
                     let victim = live.swap_remove(g.next() as usize % live.len());
@@ -118,18 +94,11 @@ fn flat_fib_matches_trie_under_random_churn() {
             let ctx = format!("seed {seed} round {round}");
             for _ in 0..64 {
                 assert_fib_matches(&trie, &fib, g.v4_addr(), &ctx);
-                assert_fib_matches(&trie, &fib, g.v6_addr(), &ctx);
             }
-            // Default routes and family boundaries are the classic flat-FIB
-            // off-by-ones; probe them every round.
-            assert_fib_matches(&trie, &fib, IpAddr::V4(Ipv4Addr::new(0, 0, 0, 0)), &ctx);
-            assert_fib_matches(
-                &trie,
-                &fib,
-                IpAddr::V4(Ipv4Addr::new(255, 255, 255, 255)),
-                &ctx,
-            );
-            assert_fib_matches(&trie, &fib, IpAddr::V6(Ipv6Addr::UNSPECIFIED), &ctx);
+            // Default routes and address-space boundaries are the classic
+            // flat-FIB off-by-ones; probe them every round.
+            assert_fib_matches(&trie, &fib, Ipv4Addr::new(0, 0, 0, 0), &ctx);
+            assert_fib_matches(&trie, &fib, Ipv4Addr::new(255, 255, 255, 255), &ctx);
         }
     }
 }
@@ -177,12 +146,7 @@ fn mux_fast_path_matches_slow_path_under_churn() {
                 live.push(p);
             }
         }
-        let probes: Vec<Ipv4Addr> = (0..128)
-            .map(|_| match g.v4_addr() {
-                IpAddr::V4(a) => a,
-                IpAddr::V6(_) => unreachable!(),
-            })
-            .collect();
+        let probes: Vec<Ipv4Addr> = (0..128).map(|_| g.v4_addr()).collect();
         // Slow path answers first (they never consult compiled state)...
         mux.set_fast_path(false);
         let want: Vec<bool> = probes
@@ -232,12 +196,7 @@ fn mux_observability_tracks_the_fast_path() {
         let p = g.v4_prefix();
         mux.install_route(NBR, p);
     }
-    let probes: Vec<Ipv4Addr> = (0..64)
-        .map(|_| match g.v4_addr() {
-            IpAddr::V4(a) => a,
-            IpAddr::V6(_) => unreachable!(),
-        })
-        .collect();
+    let probes: Vec<Ipv4Addr> = (0..64).map(|_| g.v4_addr()).collect();
     // First pass compiles the FIB and misses the cold flow cache; the
     // second pass over the same stream hits it.
     for pass in 0..2 {

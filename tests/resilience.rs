@@ -3,7 +3,7 @@
 //! networks where all of this happens routinely; the reproduction must
 //! converge back to a consistent state every time.
 
-use peering_repro::bgp::types::prefix;
+use peering_repro::bgp::types::{prefix, Prefix};
 use peering_repro::netsim::SimDuration;
 use peering_repro::platform::experiment::Proposal;
 use peering_repro::platform::intent::NeighborRole;
@@ -231,6 +231,39 @@ fn ipv6_prefix_announced_through_the_full_stack() {
         routes[0].attrs.as_path.asns(),
         vec![peering_repro::bgp::Asn(47065), exp.lease.asn]
     );
+
+    // The v6 lease lives in the routers' control plane only: the data
+    // plane is IPv4-only, so no PoP's mux tables or delivery table hold it,
+    // and the layer cross-checks stay clean.
+    let router = p.router_node(&pops[0]).unwrap();
+    let r = p.sim.node::<VbgpRouter>(router).unwrap();
+    assert!(
+        !r.host.speaker.loc_rib().candidates(&v6).is_empty(),
+        "router's Loc-RIB must hold the v6 lease"
+    );
+    let is_v6 = |p: &Prefix| matches!(p, Prefix::V6 { .. });
+    for pop in &pops {
+        let router = p.router_node(pop).unwrap();
+        let r = p.sim.node_mut::<VbgpRouter>(router).unwrap();
+        for nbr in r.mux.neighbor_ids() {
+            let v6_routes: Vec<_> = r.mux.table_entries(nbr).filter(|(p, _)| is_v6(p)).collect();
+            assert!(
+                v6_routes.is_empty(),
+                "{pop}: neighbor {nbr:?} table holds v6 routes: {v6_routes:?}"
+            );
+        }
+        let v6_delivery: Vec<_> = r
+            .mux
+            .delivery_entries()
+            .filter(|(p, ..)| is_v6(p))
+            .collect();
+        assert!(
+            v6_delivery.is_empty(),
+            "{pop}: delivery table holds v6 entries: {v6_delivery:?}"
+        );
+        assert_eq!(r.verify_consistency(), Vec::<String>::new(), "{pop}");
+        assert_eq!(r.mux.verify_fast_path(), Vec::<String>::new(), "{pop}");
+    }
 
     // And a hijack of foreign v6 space is still blocked.
     exp.toolkit
