@@ -150,12 +150,14 @@ pub struct ExperimentDataPolicy {
     pub flood: Option<FloodPolicy>,
 }
 
-/// Counters for the data-plane pipeline.
+/// Counters for the data-plane pipeline. `evaluated`, `allowed` and
+/// `blocked` count egress only ([`DataEnforcer::check_egress_batch`]);
+/// ingress has its own `ingress_*` counters.
 #[derive(Debug, Clone, Default)]
 pub struct DataStats {
     /// Egress packets evaluated.
     pub evaluated: u64,
-    /// Egress packets allowed.
+    /// Egress packets allowed (possibly rewritten).
     pub allowed: u64,
     /// Packet-program executions (cache misses), egress + ingress.
     pub prog_runs: u64,
@@ -172,6 +174,18 @@ pub struct DataStats {
     /// Ingress drops by policy label (`urpf`, `flood-budget`, the
     /// program labels, …).
     pub ingress_blocked: HashMap<&'static str, u64>,
+}
+
+impl DataStats {
+    /// Count `n` egress drops under `label`.
+    fn block_egress(&mut self, label: &'static str, n: u64) {
+        *self.blocked.entry(label).or_insert(0) += n;
+    }
+
+    /// Count `n` ingress drops under `label`.
+    fn block_ingress(&mut self, label: &'static str, n: u64) {
+        *self.ingress_blocked.entry(label).or_insert(0) += n;
+    }
 }
 
 /// What a packet program decided for a flow — the unit the verdict cache
@@ -467,11 +481,6 @@ impl DataEnforcer {
             .is_some_and(|p| p.ingress_urpf || p.ingress_program.is_some() || p.flood.is_some())
     }
 
-    fn block(&mut self, label: &'static str) -> DataVerdict {
-        *self.stats.blocked.entry(label).or_insert(0) += 1;
-        DataVerdict::Block(label)
-    }
-
     /// Run the experiment's packet program (or serve its cached verdict).
     /// Invariant: only flow-invariant programs are cached, so the cached
     /// decision equals what a fresh run on this packet would produce.
@@ -491,9 +500,8 @@ impl DataEnforcer {
         )
     }
 
-    /// Evaluate one egress packet (experiment → Internet): source
-    /// validation, then the experiment's packet program, then
-    /// per-experiment, per-neighbor and per-PoP shaping.
+    /// Evaluate one egress packet (experiment → Internet): a one-packet
+    /// [`Self::check_egress_batch`].
     pub fn check_egress(
         &mut self,
         exp: ExperimentId,
@@ -501,57 +509,20 @@ impl DataEnforcer {
         nbr: Option<NeighborId>,
         now: SimTime,
     ) -> DataVerdict {
-        self.stats.evaluated += 1;
-        let Some(policy) = self.policies.get(&exp) else {
-            // Unknown experiment: fail closed.
-            return self.block("unknown-experiment");
-        };
-        // Anti-spoofing: the source must fall in the allocation.
-        if !policy
-            .allowed_sources
-            .iter()
-            .any(|p| p.contains_addr(pkt.src))
-        {
-            return self.block("spoofed-source");
-        }
-        // Packet program (after the source check, §3.3).
-        let rewrite = match self.prog_decision(exp, pkt) {
-            ProgDecision::Pass => None,
-            ProgDecision::Rewrite(rw) => Some(rw),
-            ProgDecision::Block(label) => return self.block(label),
-        };
-        let len = pkt.len as usize;
-        if let Some(bucket) = self.buckets.get_mut(&exp) {
-            if !bucket.admit(len, now) {
-                return self.block("experiment-rate-limit");
-            }
-        }
-        if let Some(nbr) = nbr {
-            if let Some(bucket) = self.neighbor_shapers.get_mut(&nbr) {
-                if !bucket.admit(len, now) {
-                    return self.block("neighbor-rate-limit");
-                }
-            }
-        }
-        if let Some(bucket) = self.pop_shaper.as_mut() {
-            if !bucket.admit(len, now) {
-                return self.block("pop-rate-limit");
-            }
-        }
-        self.stats.allowed += 1;
-        match rewrite {
-            Some(rw) => DataVerdict::Transform(rw),
-            None => DataVerdict::Allow,
-        }
+        let mut out = Vec::with_capacity(1);
+        self.check_egress_batch(exp, std::slice::from_ref(pkt), nbr, now, &mut out);
+        out[0]
     }
 
-    /// Batched [`Self::check_egress`] for a run of packets from one
-    /// experiment toward one neighbor: the policy and shaper lookups are
-    /// hoisted out of the per-packet loop. Verdicts, stats and cache
-    /// effects are identical to calling `check_egress` once per packet in
-    /// order (token buckets and the verdict cache are stateful, so packets
-    /// are still admitted sequentially). `out[i]` corresponds to
-    /// `pkts[i]`; `out` is cleared first (caller-owned scratch).
+    /// Evaluate a run of egress packets (experiment → Internet) from one
+    /// experiment toward one neighbor: source validation, then the
+    /// experiment's packet program, then per-experiment, per-neighbor and
+    /// per-PoP shaping. The policy and shaper lookups are hoisted out of
+    /// the per-packet loop; token buckets and the verdict cache are
+    /// stateful, so packets are still admitted one by one in order, and a
+    /// run gets the verdicts and counters the same packets would get one
+    /// at a time. `out[i]` corresponds to `pkts[i]`; `out` is cleared first
+    /// (caller-owned scratch).
     pub fn check_egress_batch(
         &mut self,
         exp: ExperimentId,
@@ -563,7 +534,9 @@ impl DataEnforcer {
         out.clear();
         self.stats.evaluated += pkts.len() as u64;
         let Some(policy) = self.policies.get(&exp) else {
-            *self.stats.blocked.entry("unknown-experiment").or_insert(0) += pkts.len() as u64;
+            // Unknown experiment: fail closed.
+            self.stats
+                .block_egress("unknown-experiment", pkts.len() as u64);
             out.resize(pkts.len(), DataVerdict::Block("unknown-experiment"));
             return;
         };
@@ -576,12 +549,12 @@ impl DataEnforcer {
             {
                 out.push(DataVerdict::Allow);
             } else {
-                *self.stats.blocked.entry("spoofed-source").or_insert(0) += 1;
+                self.stats.block_egress("spoofed-source", 1);
                 out.push(DataVerdict::Block("spoofed-source"));
             }
         }
-        // Pass 2: packet program, in packet order (cache fills mid-batch
-        // exactly as in the single path).
+        // Pass 2: packet program, after the source check (§3.3), in packet
+        // order (the verdict cache fills mid-run).
         for (i, pkt) in pkts.iter().enumerate() {
             if !out[i].is_allow() {
                 continue;
@@ -590,7 +563,7 @@ impl DataEnforcer {
                 ProgDecision::Pass => {}
                 ProgDecision::Rewrite(rw) => out[i] = DataVerdict::Transform(rw),
                 ProgDecision::Block(label) => {
-                    *self.stats.blocked.entry(label).or_insert(0) += 1;
+                    self.stats.block_egress(label, 1);
                     out[i] = DataVerdict::Block(label);
                 }
             }
@@ -628,30 +601,13 @@ impl DataEnforcer {
             }
             match label {
                 Some(l) => {
-                    *self.stats.blocked.entry(l).or_insert(0) += 1;
+                    self.stats.block_egress(l, 1);
                     out[i] = DataVerdict::Block(l);
                 }
                 None => allowed += 1,
             }
         }
         self.stats.allowed += allowed;
-    }
-
-    /// Evaluate one ingress packet (Internet → experiment). The platform
-    /// does not police ingress content beyond delivering only traffic for
-    /// the experiment's prefixes (§4.7: "We do not currently police
-    /// dataplane content beyond verifying the source IP address"), so this
-    /// only verifies the destination belongs to the experiment.
-    pub fn check_ingress(&mut self, exp: ExperimentId, dst: IpAddr) -> DataVerdict {
-        self.stats.evaluated += 1;
-        let Some(policy) = self.policies.get(&exp) else {
-            return self.block("unknown-experiment");
-        };
-        if !policy.allowed_sources.iter().any(|p| p.contains_addr(dst)) {
-            return self.block("not-experiment-destination");
-        }
-        self.stats.allowed += 1;
-        DataVerdict::Allow
     }
 
     /// Evaluate a run of ingress packets (Internet → one experiment)
@@ -679,11 +635,8 @@ impl DataEnforcer {
         self.stats.ingress_evaluated += pkts.len() as u64;
         let Some(policy) = self.policies.get(&exp) else {
             // Unknown experiment: fail closed (mirrors egress).
-            *self
-                .stats
-                .ingress_blocked
-                .entry("unknown-experiment")
-                .or_insert(0) += pkts.len() as u64;
+            self.stats
+                .block_ingress("unknown-experiment", pkts.len() as u64);
             out.resize(pkts.len(), DataVerdict::Block("unknown-experiment"));
             return;
         };
@@ -696,18 +649,14 @@ impl DataEnforcer {
                 .iter()
                 .any(|p| p.contains_addr(pkt.dst))
             {
-                *self
-                    .stats
-                    .ingress_blocked
-                    .entry("not-experiment-destination")
-                    .or_insert(0) += 1;
+                self.stats.block_ingress("not-experiment-destination", 1);
                 out.push(DataVerdict::Block("not-experiment-destination"));
                 continue;
             }
             if policy.ingress_urpf {
                 if let Some(ok) = urpf_ok {
                     if !ok[i] {
-                        *self.stats.ingress_blocked.entry("urpf").or_insert(0) += 1;
+                        self.stats.block_ingress("urpf", 1);
                         out.push(DataVerdict::Block("urpf"));
                         continue;
                     }
@@ -738,7 +687,7 @@ impl DataEnforcer {
                     ProgDecision::Pass => {}
                     ProgDecision::Rewrite(rw) => out[i] = DataVerdict::Transform(rw),
                     ProgDecision::Block(label) => {
-                        *self.stats.ingress_blocked.entry(label).or_insert(0) += 1;
+                        self.stats.block_ingress(label, 1);
                         out[i] = DataVerdict::Block(label);
                     }
                 }
@@ -765,11 +714,7 @@ impl DataEnforcer {
                     len: fp.bucket_len,
                 };
                 if !guard.charge_flood(exp, bucket, pop, now, fp.per_pop_limit, fp.as_wide_limit) {
-                    *self
-                        .stats
-                        .ingress_blocked
-                        .entry("flood-budget")
-                        .or_insert(0) += 1;
+                    self.stats.block_ingress("flood-budget", 1);
                     out[i] = DataVerdict::Block("flood-budget");
                 }
             }
@@ -1130,16 +1075,6 @@ mod tests {
         assert_eq!(v, DataVerdict::Block("program-block"));
         // Both packets executed the program — no unsound cache hit.
         assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 0));
-    }
-
-    #[test]
-    fn ingress_checks_destination_ownership() {
-        let mut e = enforcer();
-        assert!(e.check_ingress(EXP, src("184.164.225.7")).is_allow());
-        assert_eq!(
-            e.check_ingress(EXP, src("9.9.9.9")),
-            DataVerdict::Block("not-experiment-destination")
-        );
     }
 
     #[test]

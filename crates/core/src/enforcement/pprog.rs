@@ -16,6 +16,8 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
+use peering_netsim::Ipv4Header;
+
 /// Number of general-purpose registers (`r0`..`r7`).
 pub const NUM_REGS: usize = 8;
 
@@ -153,6 +155,19 @@ impl Rewrite {
     /// No rewrites recorded.
     pub fn is_empty(&self) -> bool {
         self.ttl.is_none() && self.src.is_none() && self.dst.is_none()
+    }
+
+    /// Patch the recorded fields into `header`, leaving the rest alone.
+    pub fn apply(&self, header: &mut Ipv4Header) {
+        if let Some(ttl) = self.ttl {
+            header.ttl = ttl;
+        }
+        if let Some(src) = self.src {
+            header.src = src;
+        }
+        if let Some(dst) = self.dst {
+            header.dst = dst;
+        }
     }
 }
 

@@ -29,6 +29,14 @@
 //! [`VbgpMux::set_fast_path`] disables all of this (pure trie walks) for
 //! differential testing and baseline benchmarks.
 //!
+//! Every lookup — forwarding, uRPF and delivery — goes through one
+//! function that takes a run of addresses: one sync, then the flow cache,
+//! then the FIB (or the trie, with the fast path off). The per-packet
+//! calls ([`VbgpMux::egress_via_neighbor`],
+//! [`VbgpMux::deliver_to_experiment`], [`VbgpMux::source_routable`]) are
+//! runs of one; the first two share all of their code with their
+//! `_batch` twins.
+//!
 //! Neighbor and experiment state lives in dense slot arrays indexed by
 //! compact ids handed out at `add_*` time; the classifier decodes the
 //! destination MAC's tag bits straight into those slots.
@@ -216,44 +224,154 @@ impl<T: Copy + Default> FlowCache<T> {
     }
 }
 
+/// What a table lookup answers for one address. Neighbor tables only need
+/// presence (a route exists, or uRPF passes); the delivery table needs the
+/// matched value, the index of the prefix's delivery set.
+trait Answer: Copy + Default {
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> Self;
+    fn from_trie(trie: &PrefixTrie<u32>, ip: Ipv4Addr) -> Self;
+}
+
+impl Answer for bool {
+    #[inline]
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> bool {
+        fib.covers(ip)
+    }
+
+    #[inline]
+    fn from_trie(trie: &PrefixTrie<u32>, ip: Ipv4Addr) -> bool {
+        trie.lookup(ip.into()).is_some()
+    }
+}
+
+impl Answer for Option<u32> {
+    #[inline]
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> Option<u32> {
+        fib.lookup(ip).map(|(_, v)| v)
+    }
+
+    #[inline]
+    fn from_trie(trie: &PrefixTrie<u32>, ip: Ipv4Addr) -> Option<u32> {
+        trie.lookup(ip.into()).map(|(_, v)| *v)
+    }
+}
+
+/// One mux table: the trie the control plane edits, plus the compiled FIB
+/// and flow cache the data plane reads (both built on first lookup).
+struct Table<T> {
+    /// Source of truth. Values are refcounts in neighbor tables and
+    /// delivery-set indices in the delivery table.
+    trie: PrefixTrie<u32>,
+    fib: Option<FlatFib>,
+    cache: Option<Box<FlowCache<T>>>,
+    /// Who FIB syncs are journaled under: the neighbor id, or
+    /// [`DELIVERY_TABLE`].
+    obs_id: u32,
+}
+
+impl<T: Answer> Table<T> {
+    fn new(obs_id: u32) -> Self {
+        Table {
+            trie: PrefixTrie::new(),
+            fib: None,
+            cache: None,
+            obs_id,
+        }
+    }
+
+    /// `prefix`'s presence or value in the trie changed.
+    fn mark_dirty(&mut self, prefix: &Prefix) {
+        if let Some(fib) = &mut self.fib {
+            fib.mark_dirty(prefix);
+        }
+    }
+
+    /// Bring the compiled FIB up to date with the trie, compiling it on
+    /// first use, and count and journal the sync if it did any work.
+    #[inline]
+    fn sync(&mut self, stats: &mut MuxStats, obs: &Obs) {
+        let fib = self.fib.get_or_insert_with(FlatFib::new);
+        if fib.sync(&self.trie) {
+            stats.note_fib_sync(obs, self.obs_id, fib);
+        }
+    }
+}
+
+/// How the mux reads its tables: through the compiled fast path or by
+/// walking the tries, journaling FIB syncs to `obs`.
+struct Reader {
+    /// Fast path on (compiled FIBs + flow caches) or off (pure trie walks,
+    /// for baselines and differential tests).
+    fast_path: bool,
+    obs: Obs,
+}
+
+impl Reader {
+    /// Look every address of `ips` up in `table`, in order, handing each
+    /// answer to `each`. The one place forwarding, uRPF and delivery
+    /// lookups happen: one FIB sync for the whole run, then the flow cache,
+    /// then the FIB.
+    #[inline]
+    fn lookup<T: Answer>(
+        &self,
+        table: &mut Table<T>,
+        ips: &[Ipv4Addr],
+        stats: &mut MuxStats,
+        mut each: impl FnMut(&mut MuxStats, T),
+    ) {
+        if !self.fast_path {
+            for &ip in ips {
+                each(stats, T::from_trie(&table.trie, ip));
+            }
+            return;
+        }
+        table.sync(stats, &self.obs);
+        let fib = table.fib.as_ref().expect("synced above");
+        let generation = fib.generation();
+        let cache = table
+            .cache
+            .get_or_insert_with(|| Box::new(FlowCache::new()));
+        // Prefetch every address's base-table slot before resolving any of
+        // them: the random DRAM loads that dominate a cold lookup overlap
+        // instead of serializing per packet. A lone lookup has nothing to
+        // overlap with.
+        if ips.len() > 1 {
+            for &ip in ips {
+                fib.prefetch_v4(ip);
+            }
+        }
+        for &ip in ips {
+            let key = u32::from(ip);
+            let answer = match cache.get(key, generation) {
+                Some(hit) => {
+                    stats.flow_cache_hits += 1;
+                    hit
+                }
+                None => {
+                    stats.flow_cache_misses += 1;
+                    let answer = T::from_fib(fib, ip);
+                    cache.put(key, generation, answer);
+                    answer
+                }
+            };
+            each(stats, answer);
+        }
+    }
+}
+
 /// Dense per-neighbor state, held in a slot array indexed by the compact
 /// id handed out at `add_*_neighbor` time.
 struct NeighborEntry {
     id: NeighborId,
     fwd: NeighborFwd,
-    /// Source of truth, edited by the control plane (refcount per prefix).
-    table: PrefixTrie<u32>,
-    /// Compiled fast path; built lazily on first forwarded packet.
-    fib: Option<FlatFib>,
-    cache: Option<Box<FlowCache<bool>>>,
+    /// Refcount per prefix, edited by the control plane.
+    table: Table<bool>,
     /// The local-pool MAC index (for classifier cleanup on removal).
     vnh_idx: u32,
     /// Packets forwarded out via this neighbor's table.
     pkts_out: u64,
     /// Packets delivered to an experiment that ingressed via this neighbor.
     pkts_in: u64,
-}
-
-impl NeighborEntry {
-    /// Whether `dst_ip` has a route, via the compiled FIB + flow cache.
-    #[inline]
-    fn fast_has_route(&mut self, dst_ip: Ipv4Addr, stats: &mut MuxStats, obs: &Obs) -> bool {
-        let fib = self.fib.get_or_insert_with(FlatFib::new);
-        if fib.sync(&self.table) {
-            stats.note_fib_sync(obs, self.id.0, fib);
-        }
-        let generation = fib.generation();
-        let key = u32::from(dst_ip);
-        let cache = self.cache.get_or_insert_with(|| Box::new(FlowCache::new()));
-        if let Some(hit) = cache.get(key, generation) {
-            stats.flow_cache_hits += 1;
-            return hit;
-        }
-        stats.flow_cache_misses += 1;
-        let hit = fib.covers(dst_ip);
-        cache.put(key, generation, hit);
-        hit
-    }
 }
 
 struct ExperimentEntry {
@@ -266,9 +384,9 @@ struct ExperimentEntry {
 /// The mux.
 pub struct VbgpMux {
     alloc: VnhAllocator,
-    /// Fast path on (compiled FIBs + flow caches) or off (pure trie walks,
-    /// for baselines and differential tests).
-    fast_path: bool,
+    /// The fast-path switch and the journal (events live; counters
+    /// mirrored by [`VbgpMux::publish_obs`]).
+    reader: Reader,
     neighbors: Vec<Option<NeighborEntry>>,
     free_neighbor_slots: Vec<u32>,
     neighbor_slot: FastHashMap<NeighborId, u32>,
@@ -277,21 +395,16 @@ pub struct VbgpMux {
     experiments: Vec<Option<ExperimentEntry>>,
     free_experiment_slots: Vec<u32>,
     experiment_slot: FastHashMap<ExperimentId, u32>,
-    /// Delivery source of truth: prefix → index into `delivery_sets`.
-    delivery: PrefixTrie<u32>,
+    /// Delivery table: prefix → index into `delivery_sets`.
+    delivery: Table<Option<u32>>,
     delivery_sets: Vec<Option<DeliverySet>>,
     free_delivery_sets: Vec<u32>,
-    delivery_fib: Option<FlatFib>,
-    delivery_cache: Option<Box<FlowCache<Option<u32>>>>,
     /// ARP: global/virtual IPs this PoP answers for → answering MAC.
     owned_ips: FastHashMap<Ipv4Addr, MacAddr>,
     /// Backbone ARP cache: global IP → remote MAC.
     resolved: FastHashMap<Ipv4Addr, MacAddr>,
     /// Counters.
     pub stats: MuxStats,
-    /// Observability handle (journal events live; counters mirrored by
-    /// [`VbgpMux::publish_obs`]).
-    obs: Obs,
 }
 
 impl Default for VbgpMux {
@@ -305,7 +418,10 @@ impl VbgpMux {
     pub fn new() -> Self {
         VbgpMux {
             alloc: VnhAllocator::new(),
-            fast_path: true,
+            reader: Reader {
+                fast_path: true,
+                obs: Obs::new(),
+            },
             neighbors: Vec::new(),
             free_neighbor_slots: Vec::new(),
             neighbor_slot: FastHashMap::default(),
@@ -313,22 +429,19 @@ impl VbgpMux {
             experiments: Vec::new(),
             free_experiment_slots: Vec::new(),
             experiment_slot: FastHashMap::default(),
-            delivery: PrefixTrie::new(),
+            delivery: Table::new(DELIVERY_TABLE),
             delivery_sets: Vec::new(),
             free_delivery_sets: Vec::new(),
-            delivery_fib: None,
-            delivery_cache: None,
             owned_ips: FastHashMap::default(),
             resolved: FastHashMap::default(),
             stats: MuxStats::default(),
-            obs: Obs::new(),
         }
     }
 
     /// Attach a shared observability handle (typically already scoped to
     /// this PoP). Until called, events land in a private default store.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.reader.obs = obs;
     }
 
     /// Mirror the mux's plain-integer counters into the metrics registry.
@@ -336,7 +449,7 @@ impl VbgpMux {
     /// path never touches the registry.
     pub fn publish_obs(&self) {
         let s = &self.stats;
-        let o = &self.obs;
+        let o = &self.reader.obs;
         o.counter("mux.to_neighbor").set(s.to_neighbor);
         o.counter("mux.to_experiment").set(s.to_experiment);
         o.counter("mux.to_backbone").set(s.to_backbone);
@@ -358,22 +471,22 @@ impl VbgpMux {
             o.counter_dim("mux.ingress_pkts", "nbr", nbr)
                 .set(entry.pkts_in);
             o.gauge_dim("mux.table_routes", "nbr", nbr)
-                .set(entry.table.len() as i64);
+                .set(entry.table.trie.len() as i64);
         }
         o.gauge("mux.delivery_routes")
-            .set(self.delivery.len() as i64);
+            .set(self.delivery.trie.len() as i64);
     }
 
     /// Toggle the compiled fast path. Off = every lookup walks the source
     /// tries directly; used for baseline benchmarks and to differentially
     /// test the compiled structures against the reference.
     pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
+        self.reader.fast_path = on;
     }
 
     /// Whether the compiled fast path is enabled.
     pub fn fast_path(&self) -> bool {
-        self.fast_path
+        self.reader.fast_path
     }
 
     fn insert_neighbor_entry(&mut self, entry: NeighborEntry) -> u32 {
@@ -420,9 +533,7 @@ impl VbgpMux {
                 port,
                 dst_mac: neighbor_mac,
             },
-            table: PrefixTrie::new(),
-            fib: None,
-            cache: None,
+            table: Table::new(id.0),
             vnh_idx: 0,
             pkts_out: 0,
             pkts_in: 0,
@@ -455,9 +566,7 @@ impl VbgpMux {
                 port: backbone_port,
                 global_ip,
             },
-            table: PrefixTrie::new(),
-            fib: None,
-            cache: None,
+            table: Table::new(id.0),
             vnh_idx: 0,
             pkts_out: 0,
             pkts_in: 0,
@@ -567,13 +676,11 @@ impl VbgpMux {
         let Some(entry) = self.neighbors[slot as usize].as_mut() else {
             return;
         };
-        match entry.table.get_mut(&prefix) {
+        match entry.table.trie.get_mut(&prefix) {
             Some(count) => *count += 1, // presence unchanged: FIB stays clean
             None => {
-                entry.table.insert(prefix, 1);
-                if let Some(fib) = &mut entry.fib {
-                    fib.mark_dirty(&prefix);
-                }
+                entry.table.trie.insert(prefix, 1);
+                entry.table.mark_dirty(&prefix);
             }
         }
     }
@@ -586,26 +693,30 @@ impl VbgpMux {
         let Some(entry) = self.neighbors[slot as usize].as_mut() else {
             return;
         };
-        if let Some(count) = entry.table.get_mut(&prefix) {
+        if let Some(count) = entry.table.trie.get_mut(&prefix) {
             *count -= 1;
             if *count == 0 {
-                entry.table.remove(&prefix);
-                if let Some(fib) = &mut entry.fib {
-                    fib.mark_dirty(&prefix);
-                }
+                entry.table.trie.remove(&prefix);
+                entry.table.mark_dirty(&prefix);
             }
         }
     }
 
     /// Number of FIB entries for a neighbor.
     pub fn table_len(&self, neighbor: NeighborId) -> usize {
-        self.neighbor(neighbor).map(|e| e.table.len()).unwrap_or(0)
+        self.neighbor(neighbor)
+            .map(|e| e.table.trie.len())
+            .unwrap_or(0)
     }
 
     /// Total FIB entries across all per-neighbor tables (the
     /// "per-interconnection data plane" overhead of Fig. 6a).
     pub fn total_fib_entries(&self) -> usize {
-        self.neighbors.iter().flatten().map(|e| e.table.len()).sum()
+        self.neighbors
+            .iter()
+            .flatten()
+            .map(|e| e.table.trie.len())
+            .sum()
     }
 
     /// An experiment prefix became deliverable down a local tunnel.
@@ -632,7 +743,7 @@ impl VbgpMux {
     }
 
     fn install_delivery(&mut self, prefix: Prefix, delivery: Delivery) {
-        if let Some(&idx) = self.delivery.get(&prefix) {
+        if let Some(&idx) = self.delivery.trie.get(&prefix) {
             let set = self.delivery_sets[idx as usize]
                 .as_mut()
                 .expect("trie points at live set");
@@ -658,16 +769,14 @@ impl VbgpMux {
                 self.delivery_sets.len() as u32 - 1
             }
         };
-        self.delivery.insert(prefix, idx);
-        if let Some(fib) = &mut self.delivery_fib {
-            fib.mark_dirty(&prefix);
-        }
+        self.delivery.trie.insert(prefix, idx);
+        self.delivery.mark_dirty(&prefix);
     }
 
     /// One backing route for a delivery entry was withdrawn. The prefix
     /// stays deliverable as long as any other backing route remains.
     pub fn remove_delivery(&mut self, prefix: Prefix, delivery: &Delivery) {
-        let Some(&idx) = self.delivery.get(&prefix) else {
+        let Some(&idx) = self.delivery.trie.get(&prefix) else {
             return;
         };
         let set = self.delivery_sets[idx as usize]
@@ -683,10 +792,8 @@ impl VbgpMux {
         if set.entries.is_empty() {
             self.delivery_sets[idx as usize] = None;
             self.free_delivery_sets.push(idx);
-            self.delivery.remove(&prefix);
-            if let Some(fib) = &mut self.delivery_fib {
-                fib.mark_dirty(&prefix);
-            }
+            self.delivery.trie.remove(&prefix);
+            self.delivery.mark_dirty(&prefix);
         }
     }
 
@@ -771,54 +878,46 @@ impl VbgpMux {
 
     /// Forward a packet that an experiment steered into `neighbor`'s table:
     /// longest-prefix-match in that table, then resolve the wire egress
-    /// (Fig. 2b steps 10–11). Returns `None` if the table has no route.
+    /// (Fig. 2b steps 10–11). Returns `None` if the table has no route. A
+    /// one-packet [`Self::egress_via_neighbor_batch`].
     pub fn egress_via_neighbor(
         &mut self,
         neighbor: NeighborId,
         dst_ip: Ipv4Addr,
     ) -> Option<Egress> {
-        let &slot = self.neighbor_slot.get(&neighbor)?;
-        let entry = self.neighbors[slot as usize].as_mut()?;
-        let has_route = if self.fast_path {
-            entry.fast_has_route(dst_ip, &mut self.stats, &self.obs)
-        } else {
-            entry.table.lookup(dst_ip.into()).is_some()
-        };
-        if !has_route {
-            self.stats.no_route += 1;
-            return None;
-        }
-        let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
-        Self::count_egress(&mut self.stats, entry.fwd, egress);
-        entry.pkts_out += 1;
-        Some(egress)
+        let mut egress = None;
+        self.egress_run(neighbor, std::slice::from_ref(&dst_ip), |e| egress = e);
+        egress
     }
 
     /// Strict reverse-path check for ingress enforcement: whether
     /// `src_ip` is covered by a route in `neighbor`'s table — i.e. the
     /// neighbor that handed us this packet could itself route back to the
-    /// claimed source. Uses the same compiled FIB + flow cache as the
-    /// forward path (a uRPF miss and a no-route lookup are the same
-    /// machine operation), so per-packet cost matches
-    /// [`Self::egress_via_neighbor`]'s lookup.
+    /// claimed source. A uRPF miss and a no-route lookup are the same
+    /// machine operation, so this is the forwarding lookup (compiled FIB +
+    /// flow cache) without the egress resolution.
     pub fn source_routable(&mut self, neighbor: NeighborId, src_ip: Ipv4Addr) -> bool {
-        let Some(&slot) = self.neighbor_slot.get(&neighbor) else {
+        let Some(entry) = self
+            .neighbor_slot
+            .get(&neighbor)
+            .and_then(|&slot| self.neighbors[slot as usize].as_mut())
+        else {
             return false;
         };
-        let Some(entry) = self.neighbors[slot as usize].as_mut() else {
-            return false;
-        };
-        if self.fast_path {
-            entry.fast_has_route(src_ip, &mut self.stats, &self.obs)
-        } else {
-            entry.table.lookup(src_ip.into()).is_some()
-        }
+        let mut routable = false;
+        self.reader.lookup(
+            &mut entry.table,
+            std::slice::from_ref(&src_ip),
+            &mut self.stats,
+            |_, hit| routable = hit,
+        );
+        routable
     }
 
-    /// Batched [`Self::egress_via_neighbor`]: one table selection, one FIB
-    /// sync and one wire-egress resolution for a whole run of frames that
-    /// classified to the same neighbor. `out[i]` corresponds to
-    /// `dst_ips[i]`; `out` is cleared first (caller-owned scratch).
+    /// Forward a run of frames that classified to the same neighbor: one
+    /// table selection, one FIB sync and one wire-egress resolution for the
+    /// whole run. `out[i]` corresponds to `dst_ips[i]`; `out` is cleared
+    /// first (caller-owned scratch).
     pub fn egress_via_neighbor_batch(
         &mut self,
         neighbor: NeighborId,
@@ -826,157 +925,64 @@ impl VbgpMux {
         out: &mut Vec<Option<Egress>>,
     ) {
         out.clear();
-        let Some(&slot) = self.neighbor_slot.get(&neighbor) else {
-            out.resize(dst_ips.len(), None);
-            return;
-        };
-        let Some(entry) = self.neighbors[slot as usize].as_mut() else {
-            out.resize(dst_ips.len(), None);
-            return;
-        };
-        // Resolution state cannot change mid-batch: compute the hit egress
-        // once and reuse it for every frame with a route.
-        let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
-        if self.fast_path {
-            // One sync for the whole run, then prefetch every frame's
-            // base-table slot before resolving any of them: the random
-            // DRAM loads that dominate a cold lookup overlap instead of
-            // serializing per packet.
-            let fib = entry.fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&entry.table) {
-                self.stats.note_fib_sync(&self.obs, entry.id.0, fib);
-            }
-            let fib = entry.fib.as_ref().expect("just built");
-            let generation = fib.generation();
-            let cache = entry
-                .cache
-                .get_or_insert_with(|| Box::new(FlowCache::new()));
-            for &ip in dst_ips {
-                fib.prefetch_v4(ip);
-            }
-            for &ip in dst_ips {
-                let key = u32::from(ip);
-                let has_route = match cache.get(key, generation) {
-                    Some(hit) => {
-                        self.stats.flow_cache_hits += 1;
-                        hit
-                    }
-                    None => {
-                        self.stats.flow_cache_misses += 1;
-                        let hit = fib.covers(ip);
-                        cache.put(key, generation, hit);
-                        hit
-                    }
-                };
-                if has_route {
-                    Self::count_egress(&mut self.stats, entry.fwd, egress);
-                    entry.pkts_out += 1;
-                    out.push(Some(egress));
-                } else {
-                    self.stats.no_route += 1;
-                    out.push(None);
-                }
-            }
-        } else {
-            for &ip in dst_ips {
-                if entry.table.lookup(ip.into()).is_some() {
-                    Self::count_egress(&mut self.stats, entry.fwd, egress);
-                    entry.pkts_out += 1;
-                    out.push(Some(egress));
-                } else {
-                    self.stats.no_route += 1;
-                    out.push(None);
-                }
-            }
-        }
+        self.egress_run(neighbor, dst_ips, |e| out.push(e));
     }
 
-    /// Look up the delivery set covering `dst_ip` (fast or slow path).
-    #[inline]
-    fn delivery_set_for(&mut self, dst_ip: Ipv4Addr) -> Option<u32> {
-        if self.fast_path {
-            let fib = self.delivery_fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&self.delivery) {
-                self.stats.note_fib_sync(&self.obs, DELIVERY_TABLE, fib);
-            }
-            let generation = fib.generation();
-            let key = u32::from(dst_ip);
-            let cache = self
-                .delivery_cache
-                .get_or_insert_with(|| Box::new(FlowCache::new()));
-            if let Some(hit) = cache.get(key, generation) {
-                self.stats.flow_cache_hits += 1;
-                return hit;
-            }
-            self.stats.flow_cache_misses += 1;
-            let hit = fib.lookup(dst_ip).map(|(_, idx)| idx);
-            cache.put(key, generation, hit);
-            hit
-        } else {
-            self.delivery.lookup(dst_ip.into()).map(|(_, idx)| *idx)
-        }
-    }
-
-    fn delivery_decision(
+    /// The forwarding path behind both egress calls: `emit` receives one
+    /// decision per address, in order.
+    fn egress_run(
         &mut self,
-        set_idx: u32,
-        src_rewrite: Option<MacAddr>,
-    ) -> Option<(Egress, Option<MacAddr>, ExperimentId)> {
-        let set = self.delivery_sets[set_idx as usize].as_ref()?;
-        match set.active() {
-            Delivery::Local(exp) => {
-                let entry = self.experiment(exp)?;
-                let (port, mac) = (entry.port, entry.mac);
-                self.stats.to_experiment += 1;
-                Some((Egress::Frame { port, dst_mac: mac }, src_rewrite, exp))
-            }
-            Delivery::Remote { port, global_ip } => {
-                let exp = ExperimentId(u32::MAX); // unknown at this PoP
-                match self.resolved.get(&global_ip) {
-                    Some(mac) => {
-                        self.stats.to_backbone += 1;
-                        Some((
-                            Egress::Frame {
-                                port,
-                                dst_mac: *mac,
-                            },
-                            None,
-                            exp,
-                        ))
-                    }
-                    None => {
-                        self.stats.unresolved += 1;
-                        Some((Egress::Unresolved { port, global_ip }, None, exp))
-                    }
+        neighbor: NeighborId,
+        dst_ips: &[Ipv4Addr],
+        mut emit: impl FnMut(Option<Egress>),
+    ) {
+        let Some(entry) = self
+            .neighbor_slot
+            .get(&neighbor)
+            .and_then(|&slot| self.neighbors[slot as usize].as_mut())
+        else {
+            dst_ips.iter().for_each(|_| emit(None));
+            return;
+        };
+        // Resolution state cannot change mid-run: compute the hit egress
+        // once and reuse it for every frame with a route.
+        let fwd = entry.fwd;
+        let egress = Self::resolve_fwd(fwd, &self.resolved);
+        let pkts_out = &mut entry.pkts_out;
+        self.reader
+            .lookup(&mut entry.table, dst_ips, &mut self.stats, |stats, hit| {
+                if hit {
+                    Self::count_egress(stats, fwd, egress);
+                    *pkts_out += 1;
+                    emit(Some(egress));
+                } else {
+                    stats.no_route += 1;
+                    emit(None);
                 }
-            }
-        }
+            });
     }
 
     /// Deliver inbound traffic toward whatever experiment owns `dst_ip`.
     /// `from_neighbor` names the ingress neighbor when known; the returned
     /// source MAC is then that neighbor's virtual MAC so the experiment can
     /// see who delivered the packet (paper §3.2.2 "Routing traffic to
-    /// experiments").
+    /// experiments"). A one-packet [`Self::deliver_to_experiment_batch`].
     pub fn deliver_to_experiment(
         &mut self,
         dst_ip: Ipv4Addr,
         from_neighbor: Option<NeighborId>,
     ) -> Option<(Egress, Option<MacAddr>, ExperimentId)> {
-        let set_idx = self.delivery_set_for(dst_ip)?;
-        let src_rewrite = from_neighbor.and_then(|n| self.alloc.get(n)).map(|v| v.mac);
-        let decision = self.delivery_decision(set_idx, src_rewrite);
-        if decision.is_some() {
-            if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
-                entry.pkts_in += 1;
-            }
-        }
+        let mut decision = None;
+        self.deliver_run(std::slice::from_ref(&dst_ip), from_neighbor, |d| {
+            decision = d
+        });
         decision
     }
 
-    /// Batched [`Self::deliver_to_experiment`]: the ingress-neighbor MAC
-    /// rewrite is resolved once for the whole run. `out[i]` corresponds to
-    /// `dst_ips[i]`; `out` is cleared first (caller-owned scratch).
+    /// Deliver a run of inbound packets from one ingress neighbor: the
+    /// source-MAC rewrite is resolved once for the whole run. `out[i]`
+    /// corresponds to `dst_ips[i]`; `out` is cleared first (caller-owned
+    /// scratch).
     #[allow(clippy::type_complexity)]
     pub fn deliver_to_experiment_batch(
         &mut self,
@@ -985,17 +991,50 @@ impl VbgpMux {
         out: &mut Vec<Option<(Egress, Option<MacAddr>, ExperimentId)>>,
     ) {
         out.clear();
+        self.deliver_run(dst_ips, from_neighbor, |d| out.push(d));
+    }
+
+    /// The delivery path behind both delivery calls: `emit` receives one
+    /// decision per address, in order.
+    fn deliver_run(
+        &mut self,
+        dst_ips: &[Ipv4Addr],
+        from_neighbor: Option<NeighborId>,
+        mut emit: impl FnMut(Option<(Egress, Option<MacAddr>, ExperimentId)>),
+    ) {
         let src_rewrite = from_neighbor.and_then(|n| self.alloc.get(n)).map(|v| v.mac);
         let mut delivered = 0u64;
-        for &ip in dst_ips {
-            let decision = self
-                .delivery_set_for(ip)
-                .and_then(|idx| self.delivery_decision(idx, src_rewrite));
-            if decision.is_some() {
-                delivered += 1;
-            }
-            out.push(decision);
-        }
+        self.reader.lookup(
+            &mut self.delivery,
+            dst_ips,
+            &mut self.stats,
+            |stats, set| {
+                let decision = set.and_then(|idx| {
+                    match self.delivery_sets[idx as usize].as_ref()?.active() {
+                        Delivery::Local(exp) => {
+                            let slot = *self.experiment_slot.get(&exp)?;
+                            let entry = self.experiments[slot as usize].as_ref()?;
+                            stats.to_experiment += 1;
+                            let egress = Egress::Frame {
+                                port: entry.port,
+                                dst_mac: entry.mac,
+                            };
+                            Some((egress, src_rewrite, exp))
+                        }
+                        Delivery::Remote { port, global_ip } => {
+                            // The owning PoP is reached like a remote
+                            // neighbor; the experiment is unknown here.
+                            let fwd = NeighborFwd::Remote { port, global_ip };
+                            let egress = Self::resolve_fwd(fwd, &self.resolved);
+                            Self::count_egress(stats, fwd, egress);
+                            Some((egress, None, ExperimentId(u32::MAX)))
+                        }
+                    }
+                });
+                delivered += u64::from(decision.is_some());
+                emit(decision);
+            },
+        );
         if delivered > 0 {
             if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
                 entry.pkts_in += delivered;
@@ -1022,7 +1061,7 @@ impl VbgpMux {
     pub fn table_entries(&self, neighbor: NeighborId) -> impl Iterator<Item = (Prefix, u32)> + '_ {
         self.neighbor(neighbor)
             .into_iter()
-            .flat_map(|e| e.table.iter().map(|(p, c)| (p, *c)))
+            .flat_map(|e| e.table.trie.iter().map(|(p, c)| (p, *c)))
     }
 
     /// The delivery table as `(prefix, refcount, owner)`; the owner is
@@ -1031,7 +1070,7 @@ impl VbgpMux {
     pub fn delivery_entries(
         &self,
     ) -> impl Iterator<Item = (Prefix, u32, Option<ExperimentId>)> + '_ {
-        self.delivery.iter().map(|(p, idx)| {
+        self.delivery.trie.iter().map(|(p, idx)| {
             let set = self.delivery_sets[*idx as usize]
                 .as_ref()
                 .expect("trie points at live set");
@@ -1059,13 +1098,12 @@ impl VbgpMux {
     pub fn verify_fast_path(&mut self) -> Vec<String> {
         let mut problems = Vec::new();
         for entry in self.neighbors.iter_mut().flatten() {
-            let fib = entry.fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&entry.table) {
-                self.stats.note_fib_sync(&self.obs, entry.id.0, fib);
-            }
-            for (prefix, _) in entry.table.iter() {
+            let table = &mut entry.table;
+            table.sync(&mut self.stats, &self.reader.obs);
+            let fib = table.fib.as_ref().expect("synced above");
+            for (prefix, _) in table.trie.iter() {
                 for addr in probe_addrs(&prefix).into_iter().flatten() {
-                    let want = entry.table.lookup(addr.into()).map(|(p, _)| p);
+                    let want = table.trie.lookup(addr.into()).map(|(p, _)| p);
                     let got = fib.lookup(addr).map(|(p, _)| p);
                     if want != got {
                         problems.push(format!(
@@ -1076,13 +1114,12 @@ impl VbgpMux {
                 }
             }
         }
-        let fib = self.delivery_fib.get_or_insert_with(FlatFib::new);
-        if fib.sync(&self.delivery) {
-            self.stats.note_fib_sync(&self.obs, DELIVERY_TABLE, fib);
-        }
-        for (prefix, idx) in self.delivery.iter() {
+        let table = &mut self.delivery;
+        table.sync(&mut self.stats, &self.reader.obs);
+        let fib = table.fib.as_ref().expect("synced above");
+        for (prefix, idx) in table.trie.iter() {
             for addr in probe_addrs(&prefix).into_iter().flatten() {
-                let want = self.delivery.lookup(addr.into()).map(|(p, v)| (p, *v));
+                let want = table.trie.lookup(addr.into()).map(|(p, v)| (p, *v));
                 let got = fib.lookup(addr);
                 if want != got {
                     problems.push(format!(

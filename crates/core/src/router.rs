@@ -989,11 +989,57 @@ impl VbgpRouter {
     }
 
     fn on_ip(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &EtherFrame) {
-        match self.plan_for(port, frame) {
-            IpPlan::Neighbor(nbr) => {
-                self.forward_via_neighbor(ctx, port, nbr, std::slice::from_ref(frame))
+        let plan = self.plan_for(port, frame);
+        self.run_ip_plan(ctx, port, plan, std::slice::from_ref(frame));
+    }
+
+    /// Handle a run of IPv4 frames that share one plan.
+    fn run_ip_plan(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        plan: IpPlan,
+        frames: &[EtherFrame],
+    ) {
+        match plan {
+            IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, frames),
+            IpPlan::Delivery(from) => self.deliver_frames(ctx, from, frames),
+        }
+    }
+
+    /// Emit one routed packet: a frame toward a resolved next hop (with
+    /// `src_rewrite` as its source MAC when set, else the egress port's),
+    /// or an ARP request for an unresolved one, which drops the packet as
+    /// the paper's deployment would pre-ARP. `None` is a no-route drop.
+    fn emit_routed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        route: Option<(Egress, Option<MacAddr>)>,
+        pkt: &IpPacket,
+    ) {
+        match route {
+            Some((Egress::Frame { port: out, dst_mac }, src_rewrite)) => {
+                let src = src_rewrite.unwrap_or_else(|| self.port_mac(out));
+                ctx.send_frame(
+                    out,
+                    EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
+                );
             }
-            IpPlan::Delivery(from) => self.deliver_frames(ctx, from, std::slice::from_ref(frame)),
+            Some((
+                Egress::Unresolved {
+                    port: out,
+                    global_ip,
+                },
+                _,
+            )) => {
+                let mac = self.port_mac(out);
+                let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, global_ip);
+                ctx.send_frame(
+                    out,
+                    EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
+                );
+            }
+            None => self.stats.no_route += 1,
         }
     }
 
@@ -1036,15 +1082,7 @@ impl VbgpRouter {
                         // Apply the program's header rewrite before TTL
                         // and lookup, so a rewritten destination is
                         // re-routed on its new address.
-                        if let Some(ttl) = rw.ttl {
-                            pkt.header.ttl = ttl;
-                        }
-                        if let Some(src) = rw.src {
-                            pkt.header.src = src;
-                        }
-                        if let Some(dst) = rw.dst {
-                            pkt.header.dst = dst;
-                        }
+                        rw.apply(&mut pkt.header);
                         self.stats.data_transformed += 1;
                     }
                     DataVerdict::Block(reason) => {
@@ -1085,29 +1123,7 @@ impl VbgpRouter {
                 continue;
             }
             let Some(pkt) = p else { continue };
-            match egress[ei] {
-                Some(Egress::Frame { port: out, dst_mac }) => {
-                    let src = self.port_mac(out);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
-                    );
-                }
-                Some(Egress::Unresolved {
-                    port: out,
-                    global_ip,
-                }) => {
-                    // Trigger resolution; the packet is dropped (the paper's
-                    // deployment would also drop pre-ARP).
-                    let mac = self.port_mac(out);
-                    let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, global_ip);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-                    );
-                }
-                None => self.stats.no_route += 1,
-            }
+            self.emit_routed(ctx, egress[ei].map(|e| (e, None)), pkt);
             ei += 1;
         }
         self.egress_scratch = egress;
@@ -1211,15 +1227,7 @@ impl VbgpRouter {
                                 // the delivery decision is already made, so
                                 // a dst rewrite does not re-route.
                                 let pkt = pkts[i].as_mut().expect("target packets survive");
-                                if let Some(ttl) = rw.ttl {
-                                    pkt.header.ttl = ttl;
-                                }
-                                if let Some(src) = rw.src {
-                                    pkt.header.src = src;
-                                }
-                                if let Some(dst) = rw.dst {
-                                    pkt.header.dst = dst;
-                                }
+                                rw.apply(&mut pkt.header);
                                 self.stats.data_transformed += 1;
                             }
                             DataVerdict::Block(reason) => {
@@ -1247,31 +1255,8 @@ impl VbgpRouter {
             if skip.get(di).copied().unwrap_or(false) {
                 continue;
             }
-            match decisions[di] {
-                Some((Egress::Frame { port: out, dst_mac }, src_rewrite, _exp)) => {
-                    let src = src_rewrite.unwrap_or_else(|| self.port_mac(out));
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
-                    );
-                }
-                Some((
-                    Egress::Unresolved {
-                        port: out,
-                        global_ip,
-                    },
-                    _,
-                    _,
-                )) => {
-                    let mac = self.port_mac(out);
-                    let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, global_ip);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-                    );
-                }
-                None => self.stats.no_route += 1,
-            }
+            let route = decisions[di].map(|(egress, src_rewrite, _)| (egress, src_rewrite));
+            self.emit_routed(ctx, route, pkt);
         }
         self.delivery_scratch = decisions;
     }
@@ -1549,10 +1534,7 @@ impl Node for VbgpRouter {
                 continue;
             }
             if let Some(prev) = run_plan.take() {
-                match prev {
-                    IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, &run),
-                    IpPlan::Delivery(from) => self.deliver_frames(ctx, from, &run),
-                }
+                self.run_ip_plan(ctx, port, prev, &run);
                 run.clear();
             }
             match plan {
@@ -1564,10 +1546,7 @@ impl Node for VbgpRouter {
             }
         }
         if let Some(prev) = run_plan {
-            match prev {
-                IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, &run),
-                IpPlan::Delivery(from) => self.deliver_frames(ctx, from, &run),
-            }
+            self.run_ip_plan(ctx, port, prev, &run);
         }
     }
 

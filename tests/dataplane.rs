@@ -9,7 +9,8 @@
 //! on random probe addresses after every sync (IPv4 only: the data plane,
 //! and so the FIB, holds no IPv6). A second battery drives the same kind
 //! of churn through a whole [`VbgpMux`] and checks the fast path (FIB +
-//! flow cache, single and batched) against the slow trie-walking path.
+//! flow cache, single and batched) against the slow trie-walking path, for
+//! forwarding, uRPF and delivery.
 
 use std::net::Ipv4Addr;
 
@@ -17,7 +18,7 @@ use peering_repro::bgp::flatfib::{FlatFib, CHURN_REBUILD_THRESHOLD};
 use peering_repro::bgp::trie::PrefixTrie;
 use peering_repro::bgp::types::Prefix;
 use peering_repro::netsim::{MacAddr, PortId};
-use peering_repro::vbgp::{NeighborId, VbgpMux};
+use peering_repro::vbgp::{Delivery, ExperimentId, NeighborId, VbgpMux};
 
 /// SplitMix64 — deterministic churn and probe generator.
 struct Gen(u64);
@@ -43,6 +44,19 @@ impl Gen {
             addr & (u32::MAX << (32 - u32::from(len)))
         };
         Prefix::v4(Ipv4Addr::from(masked), len).unwrap()
+    }
+
+    /// A random IPv4 prefix of length /16–/32 from the same pool as
+    /// [`Self::v4_prefix`]: such prefixes cover only part of the pool, so
+    /// probes both hit and miss them.
+    fn long_v4_prefix(&mut self) -> Prefix {
+        let len = 16 + (self.next() % 17) as u8; // 16..=32
+        let addr = 0x0a00_0000 | (self.next() as u32 & 0x000f_ffff);
+        Prefix::v4(
+            Ipv4Addr::from(addr & (u32::MAX << (32 - u32::from(len)))),
+            len,
+        )
+        .unwrap()
     }
 
     /// A probe address near the churn pool (so most probes are covered).
@@ -125,16 +139,26 @@ fn generation_bumps_exactly_on_change() {
 
 /// Drive churn through a whole mux and check the fast path (compiled FIB +
 /// flow cache) against the slow path, single and batched, on the same
-/// probe streams. The flow cache is deliberately re-probed across churn
-/// rounds so stale-entry invalidation is what's under test.
+/// probe streams: forwarding, uRPF (`source_routable`) and delivery to two
+/// local experiments, whose delivery prefixes churn alongside the neighbor
+/// table. The flow caches are deliberately re-probed across churn rounds
+/// so stale-entry invalidation is what's under test.
 #[test]
 fn mux_fast_path_matches_slow_path_under_churn() {
     const NBR: NeighborId = NeighborId(9);
+    const EXPS: [ExperimentId; 2] = [ExperimentId(1), ExperimentId(2)];
     let mut g = Gen(0x5eed);
     let mut mux = VbgpMux::new();
     mux.add_local_neighbor(NBR, PortId(1), MacAddr([2, 0, 0, 0, 0, 9]), None);
+    for (i, &exp) in EXPS.iter().enumerate() {
+        let port = PortId(10 + i as u16);
+        mux.add_experiment(exp, port, MacAddr([2, 0, 0, 0, 1, i as u8]), None);
+    }
     let mut live: Vec<Prefix> = Vec::new();
+    let mut deliveries: Vec<(Prefix, Delivery)> = Vec::new();
     let mut batch_out = Vec::new();
+    let mut deliver_out = Vec::new();
+    let (mut seen_urpf, mut seen_delivery) = ([false; 2], [false; 2]);
     for round in 0..60 {
         for _ in 0..(1 + g.next() as usize % 40) {
             let p = g.v4_prefix();
@@ -146,15 +170,57 @@ fn mux_fast_path_matches_slow_path_under_churn() {
                 live.push(p);
             }
         }
-        let probes: Vec<Ipv4Addr> = (0..128).map(|_| g.v4_addr()).collect();
+        for _ in 0..(1 + g.next() as usize % 20) {
+            if !deliveries.is_empty() && g.next().is_multiple_of(3) {
+                let (p, d) = deliveries.swap_remove(g.next() as usize % deliveries.len());
+                mux.remove_delivery(p, &d);
+            } else {
+                let p = g.long_v4_prefix();
+                let exp = EXPS[g.next() as usize % EXPS.len()];
+                deliveries.push((p, mux.install_delivery_local(p, exp)));
+            }
+        }
+        let mut probes: Vec<Ipv4Addr> = (0..128).map(|_| g.v4_addr()).collect();
+        // A few probes outside 10/8, which no route of the pool covers, so
+        // the no-route and uRPF-fail answers are compared too.
+        probes.extend((0..8).map(|_| Ipv4Addr::from(0x0b00_0000 | (g.next() as u32 >> 8))));
         // Slow path answers first (they never consult compiled state)...
         mux.set_fast_path(false);
         let want: Vec<bool> = probes
             .iter()
             .map(|&ip| mux.egress_via_neighbor(NBR, ip).is_some())
             .collect();
+        let want_urpf: Vec<bool> = probes
+            .iter()
+            .map(|&ip| mux.source_routable(NBR, ip))
+            .collect();
+        let want_delivery: Vec<_> = probes
+            .iter()
+            .map(|&ip| mux.deliver_to_experiment(ip, Some(NBR)))
+            .collect();
+        for (&urpf, delivery) in want_urpf.iter().zip(&want_delivery) {
+            seen_urpf[usize::from(urpf)] = true;
+            seen_delivery[usize::from(delivery.is_some())] = true;
+        }
         // ...then the fast path must agree, singly and batched.
         mux.set_fast_path(true);
+        for (i, &ip) in probes.iter().enumerate() {
+            assert_eq!(
+                mux.source_routable(NBR, ip),
+                want_urpf[i],
+                "round {round}: fast uRPF diverged on {ip}"
+            );
+            assert_eq!(
+                mux.deliver_to_experiment(ip, Some(NBR)),
+                want_delivery[i],
+                "round {round}: single fast delivery diverged on {ip}"
+            );
+        }
+        mux.deliver_to_experiment_batch(&probes, Some(NBR), &mut deliver_out);
+        assert_eq!(
+            deliver_out, want_delivery,
+            "round {round}: batched fast delivery diverged"
+        );
         for (i, &ip) in probes.iter().enumerate() {
             assert_eq!(
                 mux.egress_via_neighbor(NBR, ip).is_some(),
@@ -176,6 +242,15 @@ fn mux_fast_path_matches_slow_path_under_churn() {
     assert!(
         mux.stats.flow_cache_hits > 0,
         "churn test never exercised the flow cache"
+    );
+    // Both answers of both new checks must have been exercised.
+    assert!(
+        seen_urpf[0] && seen_urpf[1],
+        "uRPF never both passed and failed"
+    );
+    assert!(
+        seen_delivery[0] && seen_delivery[1],
+        "delivery never both missed and hit"
     );
 }
 
