@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --bin amsix_scale [scale_divisor]`
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use peering_bench::{fig6b_configs, memory_sweep};

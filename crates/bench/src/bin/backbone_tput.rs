@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --bin backbone_tput [megabytes_per_flow]`
 
+#![forbid(unsafe_code)]
+
 use peering_netsim::{
     FaultInjector, LinkConfig, MacAddr, PortId, SimDuration, SimTime, Simulator, TcpFlowConfig,
     TcpReceiver, TcpSender,

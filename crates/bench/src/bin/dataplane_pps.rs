@@ -30,6 +30,8 @@
 //! given and fails if the optimized single-lookup throughput regressed
 //! more than 5x below the committed number.
 
+#![forbid(unsafe_code)]
+
 use std::net::Ipv4Addr;
 
 use peering_bench::{splitmix, synth_fib_prefix, timing};

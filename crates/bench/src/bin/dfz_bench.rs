@@ -25,6 +25,8 @@
 //! cargo run --release -p peering-bench --bin dfz_bench -- --smoke  # CI: 16 members, 6k routes
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use peering_netsim::SimDuration;

@@ -11,6 +11,8 @@
 //!
 //! Run with: `cargo run --release --bin fig6a [max_routes]`
 
+#![forbid(unsafe_code)]
+
 use peering_bench::memory_sweep;
 
 fn main() {

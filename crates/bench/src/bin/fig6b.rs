@@ -14,6 +14,8 @@
 //!
 //! Run with: `cargo run --release --bin fig6b [updates_per_batch]`
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use peering_bench::fig6b_configs;

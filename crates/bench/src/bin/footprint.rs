@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --bin footprint`
 
+#![forbid(unsafe_code)]
+
 use peering_platform::topology::{
     intent_footprint, paper_footprint, paper_intent, paper_ixps, PeerType, TopologyParams,
 };

@@ -28,6 +28,8 @@
 //! committed JSON records `host_cores` alongside the numbers so readers
 //! can tell which regime they are looking at.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use peering_netsim::{ChaosPlan, LinkId, SimDuration, SimRng};

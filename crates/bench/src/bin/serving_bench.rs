@@ -23,6 +23,8 @@
 //! cargo run --release -p peering-bench --bin serving_bench -- --smoke --check # CI SLO + determinism gate
 //! ```
 
+#![forbid(unsafe_code)]
+
 use peering_workload::serving::{run_serving, ServingOutcome, ServingSpec};
 use peering_workload::TrafficMix;
 

@@ -12,6 +12,8 @@
 //! | §6 AMS-IX scale anecdotes | `amsix_scale` | — |
 //! | design ablations (§3.3, §7.2) | — | `ablations` |
 
+#![forbid(unsafe_code)]
+
 use std::net::Ipv4Addr;
 
 use peering_bgp::attrs::{AsPath, PathAttributes};

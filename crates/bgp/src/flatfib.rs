@@ -239,6 +239,7 @@ impl FlatFib {
     /// before resolving any of them, overlapping the DRAM latency that
     /// otherwise dominates random-destination lookups.
     #[inline]
+    #[allow(unsafe_code)]
     pub fn prefetch_v4(&self, addr: Ipv4Addr) {
         let idx = (u32::from(addr) >> 8) as usize;
         #[cfg(target_arch = "x86_64")]

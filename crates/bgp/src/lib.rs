@@ -52,6 +52,8 @@
 //! assert_eq!(decoded, Message::Update(update));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod attrs;
 pub mod decision;
 pub mod flatfib;

@@ -31,6 +31,7 @@
 //! assert!(cc.allows_export(&[], NeighborId(5))); // no steering → everyone
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capability;

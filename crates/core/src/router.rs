@@ -961,19 +961,16 @@ impl VbgpRouter {
         }
         let te = IcmpPacket::time_exceeded_for(expired);
         let reply = IpPacket::new(our_addr, expired.header.src, IpProto::Icmp, te.encode());
-        match self.mux.deliver_to_experiment(reply.header.dst, None) {
-            Some((Egress::Frame { port: out, dst_mac }, _, _)) => {
-                let src = self.port_mac(out);
-                self.stats.icmp_sent += 1;
-                ctx.send_frame(
-                    out,
-                    EtherFrame::new(dst_mac, src, EtherType::Ipv4, reply.encode()),
-                );
-            }
-            _ => {
-                self.stats.no_route += 1;
-            }
+        // Sourced from the router's own port MAC (no rewrite); an
+        // unresolved backbone hop gets an ARP request like any data frame.
+        let route = self
+            .mux
+            .deliver_to_experiment(reply.header.dst, None)
+            .map(|(egress, _, _)| (egress, None));
+        if matches!(route, Some((Egress::Frame { .. }, _))) {
+            self.stats.icmp_sent += 1;
         }
+        self.emit_routed(ctx, route, &reply);
     }
 
     /// The plan for one IPv4 frame (which batch it can join).

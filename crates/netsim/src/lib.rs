@@ -25,6 +25,7 @@
 //! let _cfg = LinkConfig::default();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arp;
@@ -36,12 +37,10 @@ pub mod icmp;
 pub mod ip;
 pub mod link;
 pub mod mac;
-pub mod pcap;
 pub mod sim;
 pub mod switch;
 pub mod tcp;
 pub mod time;
-pub mod trace;
 
 pub use crate::bytes::Bytes;
 pub use arp::{ArpCache, ArpOp, ArpPacket};
@@ -52,9 +51,7 @@ pub use icmp::IcmpPacket;
 pub use ip::{IpPacket, IpProto, Ipv4Header};
 pub use link::{FaultInjector, Link, LinkConfig, LinkStats};
 pub use mac::MacAddr;
-pub use pcap::PcapWriter;
 pub use sim::{Ctx, LinkId, Node, NodeId, PortId, SimRng, Simulator};
 pub use switch::LearningSwitch;
 pub use tcp::{TcpFlowConfig, TcpReceiver, TcpSegment, TcpSender};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceSink, Tracer};

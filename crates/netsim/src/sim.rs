@@ -5,57 +5,59 @@
 //! collects their outputs; the simulator applies those outputs after each
 //! callback, keeping borrows simple and execution deterministic.
 //!
-//! # Sharded-parallel execution
+//! # One windowed engine over owned shards
 //!
-//! [`Simulator::set_shards`] partitions the nodes into shards, each with its
-//! own event queue, and [`Simulator::run_until`] then advances them on a
-//! persistent pinned worker pool (one thread per shard, spawned once per
-//! shard-count change and parked on a channel between windows) using
-//! conservative lookahead windows: a window `[gvt, end)` is opened from the
-//! global minimum event time `gvt`, and within it every shard can run
-//! independently because no frame emitted inside the window can cross a
-//! shard boundary before the window closes. Cross-shard deliveries land in
-//! lock-free single-producer/single-consumer lanes (one per ordered shard
-//! pair) that the coordinator drains at the window barrier; chaos steps are
-//! applied on the main thread between windows (a window never crosses a
-//! chaos timestamp), so link state is frozen while workers run.
+//! The nodes are partitioned into shards ([`Simulator::set_shards`]; one by
+//! default). A shard owns its nodes, its event queue and one outbox per
+//! destination shard. Every run advances in windows `[gvt, end)`: `gvt` is
+//! the global minimum event time, and `end` is chosen so that no frame
+//! emitted inside the window can reach another shard before the window
+//! closes, so within it every shard runs independently. On one shard the
+//! window runs inline on the caller's thread. With more shards, each shard
+//! with due events is moved by value to its worker on a persistent pinned
+//! pool (one thread per shard, spawned once per shard-count change and
+//! parked on a channel between windows), and the worker sends it back on
+//! the done channel. At that barrier the coordinator drains the outboxes
+//! into the destination queues. Chaos steps are applied by the coordinator
+//! between windows (a window never crosses a chaos timestamp), so link
+//! state is frozen while shards run.
 //!
-//! Window bounds are adaptive. The floor is the classic conservative bound
-//! `gvt + min cross-shard link latency`; the sound widened bound is
-//! `min over shards s with pending events of (t_s + L_out(s))`, where `t_s`
-//! is shard `s`'s earliest queued event and `L_out(s)` the minimum latency
-//! of its cross-shard links: any cross-shard arrival emitted during the
-//! window is the end of a causal chain starting at an event at or after
-//! `t_s` whose final hop adds at least `L_out(s)`. On top of that sits a
-//! doubling heuristic cap — windows widen while no cross-shard traffic
-//! appears and snap back to the conservative bound when a lane carries a
-//! frame — purely to pace barrier frequency; soundness never depends on it,
-//! so the window schedule is unobservable in the results.
+//! Window bounds are adaptive. The sound bound is `min over shards s with
+//! pending events of (t_s + L_out(s))`, where `t_s` is shard `s`'s earliest
+//! queued event and `L_out(s)` the minimum latency of its cross-shard
+//! links: any cross-shard arrival emitted during the window is the end of a
+//! causal chain starting at an event at or after `t_s` whose final hop adds
+//! at least `L_out(s)`. Below that sits a doubling heuristic cap — windows
+//! widen while no cross-shard traffic appears and snap back to the minimum
+//! cross-shard latency when an outbox carries a frame — purely to pace
+//! barrier frequency; soundness never depends on it, so the window
+//! schedule is unobservable in the results. A wired zero-latency link
+//! between two shards leaves no such window, so a layout with one runs as a
+//! single shard.
 //!
 //! Runs are bit-identical at any shard count because nothing observable
 //! depends on the layout:
 //!
 //! * events are ordered by an intrinsic [`EventKey`] rather than a global
 //!   insertion counter, so each shard pops its events in the same order the
-//!   single-threaded run would;
+//!   single-shard run would;
 //! * every node and every link direction draws from its own seeded
 //!   [`SimRng`] stream, so the random rolls a frame sees depend only on
 //!   which link carried it and how many frames preceded it there;
 //! * observability records carry their dispatch key and merge canonically
 //!   (see `peering-obs`), so snapshots and journal digests match too.
 //!
-//! [`Simulator::run_until_idle`] uses the same windowed engine when shards
-//! are configured (quiescence is checked at window barriers, where the
-//! coordinator has the global queue view); the sequential engine is the
-//! canonical semantics the parallel one must (and does) reproduce. A panic
-//! on a shard worker does not abort the process: the window is collected,
-//! the simulator is poisoned, and the coordinator re-raises a diagnostic
-//! naming the shard, the window bounds and the journal tail.
+//! [`Simulator::run_until_idle`] counts its event budget inside windows and
+//! before every chaos step: on one shard it stops after exactly the budget,
+//! with more shards at the barrier of the window that spent it. A panic on
+//! a shard worker does not abort the process: the worker sends its shard
+//! back with the panic message, the simulator is poisoned, and the
+//! coordinator re-raises a diagnostic naming the shard, the window bounds
+//! and the journal tail.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use peering_obs::{Counter, DispatchKey, EventKind as ObsEvent, Obs, MAX_LANES};
 
@@ -64,7 +66,6 @@ use crate::event::{Event, EventKey, EventKind, EventQueue, CLASS_CHAOS, CLASS_NO
 use crate::frame::EtherFrame;
 use crate::link::{FaultInjector, Link, LinkConfig, LinkStats, TxOutcome};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceDirection, TraceEvent, Tracer};
 
 /// Identifies a node within a simulator.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -155,7 +156,7 @@ pub trait Node: Any + Send {
     /// A timer armed with `token` fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 
-    /// Human-readable label for traces.
+    /// Human-readable label for diagnostics.
     fn label(&self) -> String {
         "node".to_string()
     }
@@ -209,7 +210,7 @@ impl<'a> Ctx<'a> {
 /// A node's storage: the behaviour box, its private RNG stream and the
 /// per-source sequence counter that numbers the events it emits.
 struct NodeSlot {
-    node: Option<Box<dyn Node>>,
+    node: Box<dyn Node>,
     rng: SimRng,
     seq: u64,
     /// Reusable action buffer: drained by `apply_actions` after every
@@ -219,23 +220,13 @@ struct NodeSlot {
     actions: Vec<Action>,
 }
 
-/// `UnsafeCell` wrapper so shards on different worker threads can each
-/// mutate their own nodes through a shared `&Topo`.
-///
-/// # Safety discipline
-///
-/// Exclusive access to a slot is guaranteed structurally, never checked:
-///
-/// * outside `run_parallel_until`, only the main thread touches slots —
-///   `&mut self` methods have exclusive access by the borrow rules, and
-///   `&self` methods ([`Simulator::node`]) only read;
-/// * inside a parallel window, exactly one worker owns each shard and only
-///   dispatches events whose destination is in that shard, so two workers
-///   never reach the same slot.
-struct NodeCell(UnsafeCell<NodeSlot>);
-
-// SAFETY: see the discipline above — all access is single-writer.
-unsafe impl Sync for NodeCell {}
+/// Where a node's slot lives: its shard and its position in that shard's
+/// `nodes`.
+#[derive(Clone, Copy)]
+struct NodeLoc {
+    shard: u32,
+    index: u32,
+}
 
 /// A link plus its endpoints and the two per-direction fault-roll streams.
 struct LinkState {
@@ -244,14 +235,54 @@ struct LinkState {
     rngs: [SimRng; 2],
 }
 
-/// Immutable-during-a-window topology shared with worker threads. Links sit
-/// behind mutexes because two shards may legitimately transmit the two
-/// directions of one cross-shard link concurrently; each direction's state
-/// (queue backlog, stats, RNG) still has a single deterministic writer.
-struct Topo {
-    nodes: Vec<NodeCell>,
+/// What every shard reads during a window: the wiring, the node placement
+/// and the metric handles. A pool worker holds an `Arc` of it only while it
+/// runs a window, so between windows the simulator is the sole owner and
+/// changes it through [`Arc::get_mut`]. Links sit behind mutexes because
+/// two shards may transmit the two directions of one cross-shard link
+/// concurrently; each direction's state (queue backlog, stats, RNG) still
+/// has a single deterministic writer.
+struct Shared {
     links: Vec<Mutex<LinkState>>,
     ports: HashMap<(NodeId, PortId), (LinkId, usize)>,
+    /// Where each node id's slot is; nodes move only in
+    /// `Simulator::ensure_partition`.
+    loc: Vec<NodeLoc>,
+    counters: SimCounters,
+    obs: Obs,
+}
+
+impl Shared {
+    /// The shard holding node `dst` (events for unknown ids go to shard 0,
+    /// whose dispatch drops them).
+    fn shard_of(&self, dst: u32) -> usize {
+        self.loc.get(dst as usize).map_or(0, |l| l.shard as usize)
+    }
+}
+
+/// One shard: the nodes it owns, their pending events, and the events they
+/// emitted this window for nodes on other shards. Moved by value to a pool
+/// worker for a window and back at the barrier.
+#[derive(Default)]
+struct Shard {
+    index: usize,
+    nodes: Vec<NodeSlot>,
+    queue: EventQueue,
+    /// `outbox[d]`: this window's events for shard `d`, drained into its
+    /// queue by the coordinator at the barrier.
+    outbox: Vec<Vec<Event>>,
+    /// Reusable buffer for the events one dispatch emits.
+    out: Vec<Event>,
+}
+
+impl Shard {
+    fn new(index: usize, shards: usize) -> Self {
+        Shard {
+            index,
+            outbox: (0..shards).map(|_| Vec::new()).collect(),
+            ..Shard::default()
+        }
+    }
 }
 
 /// The simulator's own metric handles (cloneable, atomics-backed).
@@ -276,22 +307,19 @@ impl SimCounters {
     }
 }
 
-/// Per-dispatch tallies, merged into the simulator after each event (or
-/// each parallel window — the sums are commutative, so merge order cannot
-/// affect the result).
+/// Per-window tallies, merged into the simulator at the barrier (the sums
+/// are commutative, so merge order cannot affect the result).
 #[derive(Default)]
 struct LocalStats {
     unrouted: u64,
     processed: u64,
 }
 
-/// Everything an event dispatch needs besides the queue it pops from.
+/// Everything an event dispatch needs besides the shard it runs in.
 struct DispatchEnv<'a> {
-    topo: &'a Topo,
-    counters: &'a SimCounters,
+    shared: &'a Shared,
     out: &'a mut Vec<Event>,
     stats: &'a mut LocalStats,
-    tracer: Option<&'a mut Tracer>,
 }
 
 fn key_for(at: SimTime, dst: u32, src: u32, seq: &mut u64) -> EventKey {
@@ -326,23 +354,12 @@ fn apply_actions(
                 });
             }
             Action::Send { port, frame } => {
-                let Some(&(link_id, end)) = env.topo.ports.get(&(node, port)) else {
+                let Some(&(link_id, end)) = env.shared.ports.get(&(node, port)) else {
                     env.stats.unrouted += 1;
                     continue;
                 };
-                if let Some(tracer) = env.tracer.as_deref_mut() {
-                    tracer.record(TraceEvent {
-                        time: now,
-                        node,
-                        port,
-                        direction: TraceDirection::Tx,
-                        src: frame.src,
-                        dst: frame.dst,
-                        ethertype: frame.ethertype,
-                        len: frame.wire_len(),
-                    });
-                }
-                let mut guard = env.topo.links[link_id.0 as usize]
+                let counters = &env.shared.counters;
+                let mut guard = env.shared.links[link_id.0 as usize]
                     .lock()
                     .expect("link lock poisoned");
                 let state = &mut *guard;
@@ -362,7 +379,7 @@ fn apply_actions(
                     is_data_plane,
                 );
                 if matches!(outcome, TxOutcome::Dropped) {
-                    env.counters.link_drops.inc();
+                    counters.link_drops.inc();
                 }
                 if let TxOutcome::Deliver(at) = outcome {
                     let (dst_node, dst_port) = state.ends[1 - end];
@@ -374,7 +391,7 @@ fn apply_actions(
                         let idx = rng.below(payload.len() as u64) as usize;
                         payload[idx] ^= 1 << rng.below(8);
                         frame.payload = payload.into();
-                        env.counters.corrupted.inc();
+                        counters.corrupted.inc();
                     }
                     // Reorder/duplicate rolls are only drawn when the
                     // link configures them, so runs without these faults
@@ -389,12 +406,12 @@ fn apply_actions(
                         {
                             let extra = rng.below(faults.reorder_window.as_nanos().max(1));
                             at += SimDuration::from_nanos(extra);
-                            env.counters.reordered.inc();
+                            counters.reordered.inc();
                         }
                         duplicate = dup_roll < faults.duplicate_pct;
                     }
                     if duplicate {
-                        env.counters.duplicated.inc();
+                        counters.duplicated.inc();
                         env.out.push(Event {
                             key: key_for(at, dst_node.0, src, seq),
                             kind: EventKind::FrameDelivery {
@@ -423,64 +440,45 @@ fn dispatch_node(
     env: &mut DispatchEnv<'_>,
     now: SimTime,
     id: NodeId,
+    slot: &mut NodeSlot,
     f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
 ) {
-    let Some(cell) = env.topo.nodes.get(id.0 as usize) else {
-        return;
+    let NodeSlot {
+        node,
+        rng,
+        seq,
+        actions,
+    } = slot;
+    let mut ctx = Ctx {
+        now,
+        node: id,
+        actions,
+        rng,
     };
-    // SAFETY: per the NodeCell discipline — the caller is either the main
-    // thread holding `&mut Simulator`, or the one worker that owns this
-    // node's shard for the current window — this is the only live access.
-    let slot = unsafe { &mut *cell.0.get() };
-    let Some(mut node) = slot.node.take() else {
-        // Node is mid-callback (re-entrant event) — cannot happen with the
-        // action-buffer design, but degrade gracefully.
-        return;
-    };
-    let mut actions = std::mem::take(&mut slot.actions);
-    {
-        let mut ctx = Ctx {
-            now,
-            node: id,
-            actions: &mut actions,
-            rng: &mut slot.rng,
-        };
-        f(node.as_mut(), &mut ctx);
-    }
-    slot.node = Some(node);
-    apply_actions(env, id, now, &mut actions, id.0, &mut slot.seq);
-    slot.actions = actions;
+    f(node.as_mut(), &mut ctx);
+    apply_actions(env, id, now, actions, id.0, seq);
 }
 
-fn trace_rx(
-    env: &mut DispatchEnv<'_>,
-    now: SimTime,
-    node: NodeId,
-    port: PortId,
-    frame: &EtherFrame,
-) {
-    if let Some(tracer) = env.tracer.as_deref_mut() {
-        tracer.record(TraceEvent {
-            time: now,
-            node,
-            port,
-            direction: TraceDirection::Rx,
-            src: frame.src,
-            dst: frame.dst,
-            ethertype: frame.ethertype,
-            len: frame.wire_len(),
-        });
-    }
+/// The slot of node `id` among a shard's `nodes`, if the node exists.
+fn slot_in<'n>(shared: &Shared, nodes: &'n mut [NodeSlot], id: NodeId) -> Option<&'n mut NodeSlot> {
+    let loc = shared.loc.get(id.0 as usize)?;
+    nodes.get_mut(loc.index as usize)
 }
 
-/// Process one node event popped from `queue` (same-instant deliveries to
+/// Process one node event popped from `queue`. Same-instant deliveries to
 /// the same `(node, port)` are coalesced from the queue head into one
-/// batched callback). Chaos events never reach here — they live in the
-/// main thread's dedicated queue.
-fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue: &mut EventQueue) {
+/// batched callback, as long as the window's event `budget` lasts. Chaos
+/// events never reach here — the coordinator applies them between windows.
+fn process_node_event(
+    env: &mut DispatchEnv<'_>,
+    event: Event,
+    queue: &mut EventQueue,
+    nodes: &mut [NodeSlot],
+    budget: u64,
+) {
     let key = event.key;
     let now = key.at;
-    obs.set_now_nanos(now.as_nanos());
+    env.shared.obs.set_now_nanos(now.as_nanos());
     peering_obs::set_dispatch_key(DispatchKey {
         at_nanos: now.as_nanos(),
         class: key.class,
@@ -491,12 +489,14 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
     env.stats.processed += 1;
     match event.kind {
         EventKind::FrameDelivery { node, port, frame } => {
-            trace_rx(env, now, node, port, &frame);
             // Coalesce the consecutive deliveries for the same instant,
             // node and port into one batched callback. Only head-of-queue
             // events are taken, so the key order across nodes is untouched.
             let mut batch: Option<Vec<EtherFrame>> = None;
-            while let Some(next) = queue.peek() {
+            while env.stats.processed < budget {
+                let Some(next) = queue.peek() else {
+                    break;
+                };
                 let same = next.key.at == now
                     && matches!(
                         &next.kind,
@@ -513,24 +513,71 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
                     unreachable!("peek said FrameDelivery");
                 };
                 env.stats.processed += 1;
-                trace_rx(env, now, node, port, &frame);
                 batch
                     .get_or_insert_with(|| Vec::with_capacity(4))
                     .push(frame);
             }
+            let Some(slot) = slot_in(env.shared, nodes, node) else {
+                return;
+            };
             match batch {
-                None => dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame)),
+                None => dispatch_node(env, now, node, slot, |n, ctx| n.on_frame(ctx, port, frame)),
                 Some(mut rest) => {
                     rest.insert(0, frame);
-                    dispatch_node(env, now, node, |n, ctx| n.on_frames(ctx, port, rest));
+                    dispatch_node(env, now, node, slot, |n, ctx| n.on_frames(ctx, port, rest));
                 }
             }
         }
         EventKind::Timer { node, token } => {
-            dispatch_node(env, now, node, |n, ctx| n.on_timer(ctx, token));
+            if let Some(slot) = slot_in(env.shared, nodes, node) {
+                dispatch_node(env, now, node, slot, |n, ctx| n.on_timer(ctx, token));
+            }
         }
-        EventKind::Chaos(_) => unreachable!("chaos events are scheduled on the main thread only"),
+        EventKind::Chaos(_) => unreachable!("chaos events are applied between windows"),
     }
+}
+
+/// Execute `shard`'s events due before `end`, stopping once `budget`
+/// events have been processed. Events a dispatch emits for the shard's own
+/// nodes go straight back into its queue; the rest wait in its outboxes
+/// for the barrier. Returns the window's tallies and the time of its last
+/// event (`start` if it ran none).
+fn run_window(
+    shard: &mut Shard,
+    shared: &Shared,
+    start: SimTime,
+    end: SimTime,
+    budget: u64,
+) -> (LocalStats, SimTime) {
+    let Shard {
+        index,
+        nodes,
+        queue,
+        outbox,
+        out,
+    } = shard;
+    let mut stats = LocalStats::default();
+    let mut last = start;
+    while stats.processed < budget && queue.peek_time().is_some_and(|t| t < end) {
+        let ev = queue.pop().expect("peeked event");
+        debug_assert!(ev.key.at >= last, "time went backwards");
+        last = ev.key.at;
+        let mut env = DispatchEnv {
+            shared,
+            out: &mut *out,
+            stats: &mut stats,
+        };
+        process_node_event(&mut env, ev, queue, nodes, budget);
+        for e in out.drain(..) {
+            let dst = shared.shard_of(e.key.dst);
+            if dst == *index {
+                queue.push(e.key, e.kind);
+            } else {
+                outbox[dst].push(e);
+            }
+        }
+    }
+    (stats, last)
 }
 
 /// Default ceiling for the adaptive-window doubling multiplier: windows
@@ -539,74 +586,31 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
 /// yields bit-identical results (see `tests/props.rs`).
 const DEFAULT_WINDOW_CAP: u64 = 4096;
 
-/// A message from the coordinator to a parked shard worker.
-enum Job {
-    /// Execute one lookahead window. The raw pointers inside are valid
-    /// until the worker reports on the done channel.
-    Window(WindowJob),
-    /// Tear the worker down (pool drop or shard-count change).
-    Shutdown,
-}
-
-/// One window of work for one shard: the window bounds plus raw views of
-/// the simulator state the worker is allowed to touch.
-///
-/// # Safety discipline
-///
-/// The pointers reference fields of the `Simulator` that owns the pool.
-/// They are valid and unaliased for the duration of the window because the
-/// coordinator (a) constructs them inside `run_parallel_until` while
-/// holding `&mut Simulator`, so the simulator cannot move or be touched
-/// elsewhere, and (b) blocks until every dispatched worker has reported
-/// done before using any of the pointed-at state again. A worker only
-/// mutates its own shard's queue (`queues.add(shard)`), its own nodes
-/// (per the [`NodeCell`] discipline) and its own row of lanes
-/// (`lanes[shard * shards + dst]`), so no two threads ever write the same
-/// location.
-struct WindowJob {
-    gvt: SimTime,
+/// One window of work for one shard, sent to its pool worker, which sends
+/// the shard back in a [`WorkerDone`].
+struct Window {
+    shard: Shard,
+    shared: Arc<Shared>,
+    start: SimTime,
     end: SimTime,
-    topo: *const Topo,
-    counters: *const SimCounters,
-    obs: *const Obs,
-    node_shard: *const u32,
-    node_shard_len: usize,
-    queues: *mut EventQueue,
-    lanes: *const UnsafeCell<Vec<Event>>,
-    shards: usize,
+    budget: u64,
 }
 
-// SAFETY: see the discipline on `WindowJob` — the pointers outlive the
-// window and every location has exactly one accessor during it.
-unsafe impl Send for WindowJob {}
-
-/// A worker's end-of-window report: per-window tallies, or the panic
-/// payload when the shard blew up mid-window.
+/// A worker's end-of-window report: the shard, plus the window's tallies
+/// or, when the shard panicked mid-window, the panic message.
 struct WorkerDone {
-    shard: usize,
+    shard: Shard,
     result: Result<(LocalStats, SimTime), String>,
 }
 
 /// Persistent pinned worker pool: one thread per shard, spawned once per
 /// shard-count change and parked on a blocking channel `recv` between
-/// windows. Replaces the old per-window `std::thread::scope` respawn,
-/// whose spawn/join cost dominated short windows.
-///
-/// Also owns the single-producer/single-consumer cross-shard lanes:
-/// `lanes[src * shards + dst]` is written only by worker `src` during a
-/// window and drained only by the coordinator at the barrier, so pushes
-/// are plain `Vec` appends — no locks on the cross-shard delivery path.
+/// windows, so a run pays the spawn cost once rather than per window.
 struct WorkerPool {
-    shards: usize,
-    jobs: Vec<mpsc::Sender<Job>>,
+    jobs: Vec<mpsc::Sender<Window>>,
     done_rx: mpsc::Receiver<WorkerDone>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    lanes: Vec<UnsafeCell<Vec<Event>>>,
 }
-
-// SAFETY: the lanes are the only non-Sync payload; access follows the
-// single-writer discipline documented on `WorkerPool` and `WindowJob`.
-unsafe impl Sync for WorkerPool {}
 
 impl WorkerPool {
     fn new(shards: usize) -> Self {
@@ -624,45 +628,47 @@ impl WorkerPool {
             );
             jobs.push(tx);
         }
-        let lanes = (0..shards * shards)
-            .map(|_| UnsafeCell::new(Vec::new()))
-            .collect();
         WorkerPool {
-            shards,
             jobs,
             done_rx,
             handles,
-            lanes,
         }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for tx in &self.jobs {
-            let _ = tx.send(Job::Shutdown);
-        }
+        // Closing the job channels ends each worker's `recv` loop.
+        self.jobs.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Body of a pool worker: park on `recv`, run the window, report, repeat.
-/// Panics inside a window are caught and shipped back as a diagnostic so
-/// the coordinator can poison the run instead of aborting opaquely.
-fn worker_main(shard: usize, rx: mpsc::Receiver<Job>, done: mpsc::Sender<WorkerDone>) {
+/// Body of a pool worker: park on `recv`, run the window, send the shard
+/// back, repeat. Panics inside a window are caught and shipped back as a
+/// diagnostic so the coordinator can poison the run instead of aborting
+/// opaquely.
+fn worker_main(shard: usize, rx: mpsc::Receiver<Window>, done: mpsc::Sender<WorkerDone>) {
     // Lane 0 is the main thread; workers are 1-based so each shard's
     // journal records stay distinguishable.
     peering_obs::set_thread_lane(shard + 1);
-    let mut out: Vec<Event> = Vec::new();
-    while let Ok(Job::Window(job)) = rx.recv() {
+    while let Ok(Window {
+        mut shard,
+        shared,
+        start,
+        end,
+        budget,
+    }) = rx.recv()
+    {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: this worker is the sole owner of shard `shard` for
-            // the window; see `WindowJob`.
-            unsafe { run_shard_window(shard, &job, &mut out) }
+            run_window(&mut shard, &shared, start, end, budget)
         }))
         .map_err(|payload| panic_message(payload.as_ref()));
+        // Let go of the shared state before reporting, so the coordinator
+        // owns it alone once every worker is back.
+        drop(shared);
         peering_obs::clear_dispatch_key();
         if done.send(WorkerDone { shard, result }).is_err() {
             break;
@@ -681,54 +687,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Execute one shard's events inside `[job.gvt, job.end)`.
-///
-/// # Safety
-/// Caller must be the unique owner of shard `shard` for this window and
-/// the pointers in `job` must satisfy the `WindowJob` discipline.
-unsafe fn run_shard_window(
-    shard: usize,
-    job: &WindowJob,
-    out: &mut Vec<Event>,
-) -> (LocalStats, SimTime) {
-    out.clear();
-    let topo = &*job.topo;
-    let counters = &*job.counters;
-    let obs = &*job.obs;
-    let node_shard = std::slice::from_raw_parts(job.node_shard, job.node_shard_len);
-    let queue = &mut *job.queues.add(shard);
-    let mut stats = LocalStats::default();
-    let mut last = job.gvt;
-    while queue.peek_time().is_some_and(|t| t < job.end) {
-        let ev = queue.pop().expect("peeked event");
-        debug_assert!(ev.key.at >= last, "time went backwards");
-        last = ev.key.at;
-        {
-            let mut env = DispatchEnv {
-                topo,
-                counters,
-                out: &mut *out,
-                stats: &mut stats,
-                tracer: None,
-            };
-            process_node_event(&mut env, obs, ev, queue);
-        }
-        for e in out.drain(..) {
-            let dst = node_shard.get(e.key.dst as usize).copied().unwrap_or(0) as usize;
-            if dst == shard {
-                queue.push(e.key, e.kind);
-            } else {
-                // SPSC push: this worker is the only producer for lane
-                // (shard, dst) during the window; the coordinator is the
-                // only consumer, at the barrier while workers are parked.
-                let lane = &mut *(*job.lanes.add(shard * job.shards + dst)).get();
-                lane.push(e);
-            }
-        }
-    }
-    (stats, last)
-}
-
 /// `t + d` in nanoseconds, saturating (the "no cross-shard links" bound is
 /// effectively infinite).
 fn sat_add(t: SimTime, d: SimDuration) -> SimTime {
@@ -738,42 +696,37 @@ fn sat_add(t: SimTime, d: SimDuration) -> SimTime {
 /// The discrete-event simulator.
 pub struct Simulator {
     time: SimTime,
-    /// Requested shard count; `queues` matches it after `ensure_partition`.
+    /// Requested shard count (see [`Simulator::set_shards`]).
     shards: usize,
-    /// Shard assignment per node id.
+    /// Requested shard per node id; `ensure_partition` applies it.
     node_shard: Vec<u32>,
-    /// One event queue per shard (node events only).
-    queues: Vec<EventQueue>,
-    /// Chaos steps, kept on the main thread: windows never cross a chaos
-    /// timestamp, so link state is frozen while workers run.
+    /// The shards. A slot is an empty placeholder only while its shard is
+    /// out on a pool worker.
+    parts: Vec<Shard>,
+    /// Chaos steps, applied by the coordinator between windows.
     chaos_queue: EventQueue,
     /// Sequence counter for externally-pushed events (`src = EXTERNAL_SRC`).
     ext_seq: u64,
     /// Sequence counter for chaos events.
     chaos_seq: u64,
     needs_repartition: bool,
-    topo: Topo,
+    shared: Arc<Shared>,
     seed: u64,
     /// Control-plane stream for callers ([`Simulator::rng_mut`]), e.g. chaos
     /// plan generation; node callbacks use their own per-node streams.
     rng: SimRng,
-    tracer: Tracer,
     /// Frames sent to unconnected ports (usually a wiring bug in a scenario).
     pub unrouted_frames: u64,
     /// Total events processed.
     pub processed_events: u64,
-    /// Persistent worker pool, built lazily on the first parallel window
-    /// and rebuilt when the shard count changes.
+    /// Persistent worker pool, built on the first multi-shard window and
+    /// rebuilt when the shard count changes.
     pool: Option<WorkerPool>,
     /// Fatal diagnostic from a panicked shard worker. Node state inside
     /// the panicked window is torn, so every subsequent run re-raises it.
     poisoned: Option<String>,
     /// Adaptive-window doubling ceiling (see [`Simulator::set_window_cap`]).
     window_cap: u64,
-    /// Reusable event buffer for the sequential step path.
-    scratch_out: Vec<Event>,
-    obs: Obs,
-    counters: SimCounters,
 }
 
 impl Simulator {
@@ -785,28 +738,32 @@ impl Simulator {
             time: SimTime::ZERO,
             shards: 1,
             node_shard: Vec::new(),
-            queues: vec![EventQueue::new()],
+            parts: vec![Shard::new(0, 1)],
             chaos_queue: EventQueue::new(),
             ext_seq: 0,
             chaos_seq: 0,
             needs_repartition: false,
-            topo: Topo {
-                nodes: Vec::new(),
+            shared: Arc::new(Shared {
                 links: Vec::new(),
                 ports: HashMap::new(),
-            },
+                loc: Vec::new(),
+                counters,
+                obs,
+            }),
             seed,
             rng: SimRng::new(seed),
-            tracer: Tracer::disabled(),
             unrouted_frames: 0,
             processed_events: 0,
             pool: None,
             poisoned: None,
             window_cap: DEFAULT_WINDOW_CAP,
-            scratch_out: Vec::new(),
-            obs,
-            counters,
         }
+    }
+
+    /// The shared state, mutably. Workers let go of it before reporting a
+    /// window done, so between windows the simulator holds the only handle.
+    fn shared_mut(&mut self) -> &mut Shared {
+        Arc::get_mut(&mut self.shared).expect("shared state is only lent out during a window")
     }
 
     /// Adopt a shared observability handle (the platform installs one
@@ -815,13 +772,14 @@ impl Simulator {
     pub fn set_obs(&mut self, obs: Obs) {
         let counters = SimCounters::register(&obs);
         obs.set_now_nanos(self.time.as_nanos());
-        self.obs = obs;
-        self.counters = counters;
+        let shared = self.shared_mut();
+        shared.obs = obs;
+        shared.counters = counters;
     }
 
     /// The simulator's observability handle.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.shared.obs
     }
 
     /// Current simulated time.
@@ -829,31 +787,13 @@ impl Simulator {
         self.time
     }
 
-    /// Enable frame tracing (see [`Tracer`]). Tracing pins execution to the
-    /// sequential engine (the trace ring is not thread-safe and its order is
-    /// part of the observable output).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Access recorded trace events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Partition nodes into `shards` event-queue shards, round-robin by node
     /// id (use [`Simulator::set_node_shard`] to refine). Clamped to
     /// `1..=63` so every shard gets its own observability journal lane.
-    /// With more than one shard, [`Simulator::run_until`] executes windows
-    /// of events on worker threads; results are bit-identical to one shard.
+    /// With more than one shard, runs execute their windows on worker
+    /// threads; results are bit-identical to one shard.
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.clamp(1, MAX_LANES - 1);
-        if self.pool.as_ref().is_some_and(|p| p.shards != shards) {
-            // Shard-count change: retire the old pool (its lane grid and
-            // thread count no longer match). A new one is spawned lazily
-            // on the next parallel window.
-            self.pool = None;
-        }
         self.shards = shards;
         for (i, s) in self.node_shard.iter_mut().enumerate() {
             *s = (i % shards) as u32;
@@ -897,44 +837,56 @@ impl Simulator {
         self.node_shard.get(node.0 as usize).copied().unwrap_or(0) as usize
     }
 
-    fn shard_of(&self, dst: u32) -> usize {
-        let s = self.node_shard.get(dst as usize).copied().unwrap_or(0) as usize;
-        s.min(self.queues.len() - 1)
-    }
-
-    /// Rebuild the per-shard queues after a shard-layout change, preserving
-    /// every pending event.
+    /// Apply the requested placement after a layout change: move every node
+    /// slot (with its state, RNG stream and sequence counter) and every
+    /// pending event to its shard. A wired zero-latency link between two
+    /// requested shards leaves no safe window, so such a layout runs as one
+    /// shard.
     fn ensure_partition(&mut self) {
         if !self.needs_repartition {
             return;
         }
         self.needs_repartition = false;
+        let zero_latency_crossing = self.shards > 1
+            && self.wired_links().any(|(_, ((a, _), (b, _)), latency)| {
+                latency == SimDuration::ZERO
+                    && self.node_shard.get(a.0 as usize) != self.node_shard.get(b.0 as usize)
+            });
+        let count = if zero_latency_crossing {
+            1
+        } else {
+            self.shards
+        };
         let mut events = Vec::new();
-        for q in &mut self.queues {
-            events.append(&mut q.drain());
+        let mut old: Vec<Vec<Option<NodeSlot>>> = Vec::with_capacity(self.parts.len());
+        for mut part in self.parts.drain(..) {
+            events.append(&mut part.queue.drain());
+            old.push(part.nodes.into_iter().map(Some).collect());
         }
-        self.queues = (0..self.shards).map(|_| EventQueue::new()).collect();
+        self.parts = (0..count).map(|i| Shard::new(i, count)).collect();
+        let mut loc = Vec::with_capacity(self.node_shard.len());
+        for (want, at) in self.node_shard.iter().zip(&self.shared.loc) {
+            let shard = if count == 1 { 0 } else { *want as usize };
+            let slot = old[at.shard as usize][at.index as usize]
+                .take()
+                .expect("every node has exactly one slot");
+            let part = &mut self.parts[shard];
+            loc.push(NodeLoc {
+                shard: shard as u32,
+                index: part.nodes.len() as u32,
+            });
+            part.nodes.push(slot);
+        }
+        self.shared_mut().loc = loc;
         for e in events {
-            let shard = self.shard_of(e.key.dst);
-            self.queues[shard].push(e.key, e.kind);
+            self.push_event(e);
         }
     }
 
-    fn route_events(&mut self, out: Vec<Event>) {
-        self.ensure_partition();
-        for e in out {
-            let shard = self.shard_of(e.key.dst);
-            self.queues[shard].push(e.key, e.kind);
-        }
-    }
-
-    /// [`Simulator::route_events`] that drains a reusable buffer in place.
-    fn route_events_drain(&mut self, out: &mut Vec<Event>) {
-        self.ensure_partition();
-        for e in out.drain(..) {
-            let shard = self.shard_of(e.key.dst);
-            self.queues[shard].push(e.key, e.kind);
-        }
+    /// Queue an event on the shard that holds its destination node.
+    fn push_event(&mut self, e: Event) {
+        let shard = self.shared.shard_of(e.key.dst);
+        self.parts[shard].queue.push(e.key, e.kind);
     }
 
     /// Re-raise the diagnostic from an earlier shard-worker panic: the
@@ -960,21 +912,31 @@ impl Simulator {
 
     /// Register a node, returning its id.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
-        let id = self.topo.nodes.len() as u32;
-        self.topo.nodes.push(NodeCell(UnsafeCell::new(NodeSlot {
-            node: Some(node),
+        let id = self.node_shard.len() as u32;
+        let want = id as usize % self.shards;
+        self.node_shard.push(want as u32);
+        // Joins its requested shard if the current layout has it; a pending
+        // repartition places it otherwise.
+        let shard = want.min(self.parts.len() - 1);
+        let part = &mut self.parts[shard];
+        let loc = NodeLoc {
+            shard: shard as u32,
+            index: part.nodes.len() as u32,
+        };
+        part.nodes.push(NodeSlot {
+            node,
             rng: stream(self.seed, NODE_STREAM_SALT | id as u64),
             seq: 0,
             actions: Vec::new(),
-        })));
-        self.node_shard.push((id as usize % self.shards) as u32);
+        });
+        self.shared_mut().loc.push(loc);
         NodeId(id)
     }
 
     /// Every registered node id, in registration order. Harnesses use this
     /// to sweep the whole topology without tracking ids themselves.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.topo.nodes.len() as u32).map(NodeId).collect()
+        (0..self.node_shard.len() as u32).map(NodeId).collect()
     }
 
     /// Connect `(a, pa)` to `(b, pb)` with the given link configuration.
@@ -991,37 +953,65 @@ impl Simulator {
         config: LinkConfig,
     ) -> LinkId {
         assert!(
-            !self.topo.ports.contains_key(&(a, pa)),
+            !self.shared.ports.contains_key(&(a, pa)),
             "port {pa:?} on {a:?} already connected"
         );
         assert!(
-            !self.topo.ports.contains_key(&(b, pb)),
+            !self.shared.ports.contains_key(&(b, pb)),
             "port {pb:?} on {b:?} already connected"
         );
-        let id = LinkId(self.topo.links.len() as u32);
+        // A zero-latency link may join two shards (see `ensure_partition`).
+        self.needs_repartition |= config.latency == SimDuration::ZERO;
+        let seed = self.seed;
+        let shared = self.shared_mut();
+        let id = LinkId(shared.links.len() as u32);
         let base = LINK_STREAM_SALT | ((id.0 as u64) << 1);
-        self.topo.links.push(Mutex::new(LinkState {
+        shared.links.push(Mutex::new(LinkState {
             link: Link::new(config),
             ends: [(a, pa), (b, pb)],
-            rngs: [stream(self.seed, base), stream(self.seed, base | 1)],
+            rngs: [stream(seed, base), stream(seed, base | 1)],
         }));
-        self.topo.ports.insert((a, pa), (id, 0));
-        self.topo.ports.insert((b, pb), (id, 1));
+        shared.ports.insert((a, pa), (id, 0));
+        shared.ports.insert((b, pb), (id, 1));
         id
     }
 
     fn link_state(&self, link: LinkId) -> MutexGuard<'_, LinkState> {
-        self.topo.links[link.0 as usize]
+        self.shared.links[link.0 as usize]
             .lock()
             .expect("link lock poisoned")
+    }
+
+    /// `(id, ends, latency)` of every link that is still wired, in id order.
+    fn wired_links(&self) -> impl Iterator<Item = (LinkId, LinkEnds, SimDuration)> + '_ {
+        self.shared
+            .links
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| {
+                let id = LinkId(i as u32);
+                let state = slot.lock().expect("link lock poisoned");
+                // Disconnect removes the ports; the slot stays.
+                let wired = self.shared.ports.get(&state.ends[0]) == Some(&(id, 0));
+                wired.then_some((
+                    id,
+                    (state.ends[0], state.ends[1]),
+                    state.link.config.latency,
+                ))
+            })
     }
 
     /// Tear down a link (e.g. a session reset test); both ports become
     /// unconnected. Link stats are retained until the slot is reused.
     pub fn disconnect(&mut self, link: LinkId) {
-        let ends = self.link_state(link).ends;
+        let (ends, latency) = {
+            let state = self.link_state(link);
+            (state.ends, state.link.config.latency)
+        };
+        self.needs_repartition |= latency == SimDuration::ZERO;
+        let shared = self.shared_mut();
         for end in ends {
-            self.topo.ports.remove(&end);
+            shared.ports.remove(&end);
         }
     }
 
@@ -1066,8 +1056,8 @@ impl Simulator {
     }
 
     /// Schedule every step of a chaos plan relative to the current time.
-    /// Steps execute on the main thread at their appointed instants; in
-    /// sharded runs, parallel windows never cross a chaos timestamp.
+    /// Steps are applied between windows at their appointed instants; no
+    /// window crosses a chaos timestamp.
     pub fn schedule_chaos(&mut self, plan: &ChaosPlan) {
         for (offset, step) in plan.steps() {
             let key = EventKey {
@@ -1084,48 +1074,42 @@ impl Simulator {
 
     /// All currently-connected links touching `node`, with their endpoints.
     pub fn links_of(&self, node: NodeId) -> Vec<(LinkId, LinkEnds)> {
-        self.topo
-            .links
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let id = LinkId(i as u32);
-                let state = slot.lock().expect("link lock poisoned");
-                let touches = state.ends[0].0 == node || state.ends[1].0 == node;
-                // Only links still wired (disconnect removes ports).
-                let wired = self.topo.ports.get(&state.ends[0]) == Some(&(id, 0));
-                (touches && wired).then_some((id, (state.ends[0], state.ends[1])))
-            })
+        self.wired_links()
+            .filter(|(_, (a, b), _)| a.0 == node || b.0 == node)
+            .map(|(id, ends, _)| (id, ends))
             .collect()
+    }
+
+    fn slot(&self, id: NodeId) -> Option<&NodeSlot> {
+        let loc = self.shared.loc.get(id.0 as usize)?;
+        self.parts[loc.shard as usize].nodes.get(loc.index as usize)
+    }
+
+    fn slot_mut(&mut self, id: NodeId) -> Option<&mut NodeSlot> {
+        let loc = *self.shared.loc.get(id.0 as usize)?;
+        self.parts[loc.shard as usize]
+            .nodes
+            .get_mut(loc.index as usize)
     }
 
     /// Downcast a node to its concrete type.
     pub fn node<T: Node>(&self, id: NodeId) -> Option<&T> {
-        let cell = self.topo.nodes.get(id.0 as usize)?;
-        // SAFETY: `&self` methods never overlap `&mut self` methods, and no
-        // worker thread is live outside `run_parallel_until` (which takes
-        // `&mut self`), so the slot cannot be mutated while this shared
-        // borrow is alive.
-        let slot = unsafe { &*cell.0.get() };
-        let boxed = slot.node.as_deref()?;
-        (boxed as &dyn Any).downcast_ref::<T>()
+        (&*self.slot(id)?.node as &dyn Any).downcast_ref::<T>()
     }
 
     /// Downcast a node to its concrete type, mutably.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
-        let slot = self.topo.nodes.get_mut(id.0 as usize)?.0.get_mut();
-        let boxed = slot.node.as_deref_mut()?;
-        (boxed as &mut dyn Any).downcast_mut::<T>()
+        (&mut *self.slot_mut(id)?.node as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Inject a frame for delivery to `(node, port)` right now, as if it
     /// arrived from outside the simulated topology.
     pub fn inject_frame(&mut self, node: NodeId, port: PortId, frame: EtherFrame) {
         let key = self.ext_key(self.time, node.0);
-        self.route_events(vec![Event {
+        self.push_event(Event {
             key,
             kind: EventKind::FrameDelivery { node, port, frame },
-        }]);
+        });
     }
 
     /// Transmit a frame from `(node, port)` over its connected link, exactly
@@ -1139,10 +1123,10 @@ impl Simulator {
     /// Arm a timer on behalf of a node.
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
         let key = self.ext_key(self.time + delay, node.0);
-        self.route_events(vec![Event {
+        self.push_event(Event {
             key,
             kind: EventKind::Timer { node, token },
-        }]);
+        });
     }
 
     /// Invoke a closure with mutable access to a node and a [`Ctx`], so
@@ -1155,22 +1139,19 @@ impl Simulator {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        let slot = self.topo.nodes[id.0 as usize].0.get_mut();
-        let mut node = slot.node.take().expect("node busy/absent");
+        let now = self.time;
         let mut actions = Vec::new();
-        let result = {
-            let mut ctx = Ctx {
-                now: self.time,
-                node: id,
-                actions: &mut actions,
-                rng: &mut slot.rng,
-            };
-            let node = (node.as_mut() as &mut dyn Any)
-                .downcast_mut::<T>()
-                .expect("node type mismatch");
-            f(node, &mut ctx)
+        let slot = self.slot_mut(id).expect("unknown node id");
+        let node = (&mut *slot.node as &mut dyn Any)
+            .downcast_mut::<T>()
+            .expect("node type mismatch");
+        let mut ctx = Ctx {
+            now,
+            node: id,
+            actions: &mut actions,
+            rng: &mut slot.rng,
         };
-        slot.node = Some(node);
+        let result = f(node, &mut ctx);
         self.apply_external_actions(id, &mut actions);
         result
     }
@@ -1181,99 +1162,33 @@ impl Simulator {
     fn apply_external_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
         let mut out = Vec::new();
         let mut stats = LocalStats::default();
-        {
-            let mut env = DispatchEnv {
-                topo: &self.topo,
-                counters: &self.counters,
-                out: &mut out,
-                stats: &mut stats,
-                tracer: Some(&mut self.tracer),
-            };
-            apply_actions(
-                &mut env,
-                node,
-                self.time,
-                actions,
-                EXTERNAL_SRC,
-                &mut self.ext_seq,
-            );
-        }
-        self.unrouted_frames += stats.unrouted;
-        self.route_events(out);
-    }
-
-    /// The key of the next event in the global order, if any.
-    fn next_key(&self) -> Option<EventKey> {
-        let mut best = self.chaos_queue.peek_key();
-        for q in &self.queues {
-            let Some(k) = q.peek_key() else { continue };
-            match best {
-                Some(b) if b <= k => {}
-                _ => best = Some(k),
-            }
-        }
-        best
-    }
-
-    /// Process a single event if one is pending. Returns `false` when the
-    /// queues are empty. Always sequential — this is the canonical
-    /// semantics the parallel engine reproduces.
-    pub fn step(&mut self) -> bool {
-        self.check_poisoned();
-        self.ensure_partition();
-        let chaos = self.chaos_queue.peek_key();
-        let mut best: Option<(usize, EventKey)> = None;
-        for (i, q) in self.queues.iter().enumerate() {
-            let Some(k) = q.peek_key() else { continue };
-            match best {
-                Some((_, b)) if b <= k => {}
-                _ => best = Some((i, k)),
-            }
-        }
-        let take_chaos = match (chaos, best) {
-            (None, None) => return false,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(c), Some((_, n))) => c < n,
+        let mut env = DispatchEnv {
+            shared: &self.shared,
+            out: &mut out,
+            stats: &mut stats,
         };
-        if take_chaos {
-            let ev = self.chaos_queue.pop().expect("peeked chaos event");
-            self.apply_chaos_event(ev);
-            return true;
-        }
-        let (i, _) = best.expect("peeked node event");
-        let ev = self.queues[i].pop().expect("peeked node event");
-        debug_assert!(ev.key.at >= self.time, "time went backwards");
-        self.time = ev.key.at;
-        let mut out = std::mem::take(&mut self.scratch_out);
-        out.clear();
-        let mut stats = LocalStats::default();
-        {
-            let mut env = DispatchEnv {
-                topo: &self.topo,
-                counters: &self.counters,
-                out: &mut out,
-                stats: &mut stats,
-                tracer: Some(&mut self.tracer),
-            };
-            process_node_event(&mut env, &self.obs, ev, &mut self.queues[i]);
-        }
-        peering_obs::clear_dispatch_key();
+        apply_actions(
+            &mut env,
+            node,
+            self.time,
+            actions,
+            EXTERNAL_SRC,
+            &mut self.ext_seq,
+        );
         self.unrouted_frames += stats.unrouted;
-        self.processed_events += stats.processed;
-        self.route_events_drain(&mut out);
-        self.scratch_out = out;
-        true
+        for e in out {
+            self.push_event(e);
+        }
     }
 
-    /// Apply one chaos step on the main thread (chaos never runs on worker
-    /// threads: windows stop at chaos timestamps so link state is frozen
-    /// while shards execute).
+    /// Apply one chaos step between windows, so link state is frozen while
+    /// shards execute.
     fn apply_chaos_event(&mut self, ev: Event) {
         let key = ev.key;
         debug_assert!(key.at >= self.time, "time went backwards");
         self.time = key.at;
-        self.obs.set_now_nanos(self.time.as_nanos());
+        let obs = &self.shared.obs;
+        obs.set_now_nanos(self.time.as_nanos());
         peering_obs::set_dispatch_key(DispatchKey {
             at_nanos: key.at.as_nanos(),
             class: key.class,
@@ -1285,7 +1200,7 @@ impl Simulator {
         let EventKind::Chaos(step) = ev.kind else {
             unreachable!("chaos queue holds only chaos events");
         };
-        if let Some(slot) = self.topo.links.get(step.link.0 as usize) {
+        if let Some(slot) = self.shared.links.get(step.link.0 as usize) {
             let mut state = slot.lock().expect("link lock poisoned");
             let change = match step.change {
                 ChaosChange::LinkDown => {
@@ -1306,8 +1221,8 @@ impl Simulator {
                 }
             };
             drop(state);
-            self.counters.chaos_steps.inc();
-            self.obs.record(ObsEvent::ChaosInjection {
+            self.shared.counters.chaos_steps.inc();
+            obs.record(ObsEvent::ChaosInjection {
                 link: step.link.0,
                 change,
             });
@@ -1315,65 +1230,17 @@ impl Simulator {
         peering_obs::clear_dispatch_key();
     }
 
-    /// Conservative lookahead: the minimum latency over still-connected
-    /// links whose endpoints live in different shards. `None` disables the
-    /// parallel engine (a zero-latency cross-shard link leaves no safe
-    /// window).
-    fn cross_shard_lookahead(&self) -> Option<SimDuration> {
-        let mut min: Option<SimDuration> = None;
-        for (i, slot) in self.topo.links.iter().enumerate() {
-            let state = slot.lock().expect("link lock poisoned");
-            let id = LinkId(i as u32);
-            if self.topo.ports.get(&state.ends[0]) != Some(&(id, 0)) {
-                continue; // disconnected: no frames can cross it
-            }
-            let a = self.shard_of(state.ends[0].0 .0);
-            let b = self.shard_of(state.ends[1].0 .0);
-            if a == b {
-                continue;
-            }
-            let latency = state.link.config.latency;
-            if latency == SimDuration::ZERO {
-                return None;
-            }
-            min = Some(match min {
-                None => latency,
-                Some(m) => m.min(latency),
-            });
-        }
-        // No cross-shard links at all: the shards are fully independent and
-        // any window length is safe.
-        Some(min.unwrap_or(SimDuration::from_secs(3600)))
-    }
-
     /// Run until the queue is exhausted or `deadline` is reached; the clock
     /// ends at `deadline` if it was reached, otherwise at the last event.
     ///
-    /// With more than one shard (and tracing disabled), events execute in
-    /// parallel lookahead windows on worker threads; the results — node
-    /// state, counters, journal, clock — are bit-identical to a
-    /// single-shard run.
+    /// With more than one shard, windows execute on worker threads; the
+    /// results — node state, counters, journal, clock — are bit-identical
+    /// to a single-shard run.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.check_poisoned();
-        self.ensure_partition();
-        let lookahead = if self.queues.len() > 1 && !self.tracer.enabled() {
-            self.cross_shard_lookahead()
-        } else {
-            None
-        };
-        match lookahead {
-            Some(la) => {
-                self.run_parallel_until(deadline, la, None);
-            }
-            None => {
-                while self.next_key().is_some_and(|k| k.at <= deadline) {
-                    self.step();
-                }
-            }
-        }
+        self.run_windows(deadline, u64::MAX);
         if self.time < deadline {
             self.time = deadline;
-            self.obs.set_now_nanos(self.time.as_nanos());
+            self.shared.obs.set_now_nanos(self.time.as_nanos());
         }
     }
 
@@ -1383,33 +1250,41 @@ impl Simulator {
         self.run_until(deadline);
     }
 
+    /// Run until no events remain (the network is quiescent), with a safety
+    /// cap on event count to catch livelock in tests. Returns `false` when
+    /// the cap trips: on one shard after exactly `max_events` events (a
+    /// chaos step counts as one), with more shards at the barrier of the
+    /// window that spent the budget.
+    pub fn run_until_idle(&mut self, max_events: u64) -> bool {
+        self.run_windows(SimTime::from_nanos(u64::MAX), max_events)
+    }
+
+    /// Number of pending events (all shards plus scheduled chaos steps).
+    pub fn pending_events(&self) -> usize {
+        self.parts.iter().map(|p| p.queue.len()).sum::<usize>() + self.chaos_queue.len()
+    }
+
     /// Per-shard minimum latency over cross-shard links incident to each
     /// shard (`L_out`). Any cross-shard arrival emitted by shard `s` is
     /// the end of a causal chain whose final hop adds at least
     /// `L_out(s)`, so shard `s` cannot disturb anyone before
-    /// `t_s + L_out(s)`. Shards with no cross-shard links get the
-    /// saturating "never" bound.
+    /// `t_s + L_out(s)`. Shards with no cross-shard links (every shard of
+    /// a one-shard layout) get the saturating "never" bound.
     fn per_shard_out_lookahead(&self) -> Vec<SimDuration> {
-        let mut out = vec![SimDuration::from_nanos(u64::MAX); self.queues.len()];
-        for (i, slot) in self.topo.links.iter().enumerate() {
-            let state = slot.lock().expect("link lock poisoned");
-            let id = LinkId(i as u32);
-            if self.topo.ports.get(&state.ends[0]) != Some(&(id, 0)) {
-                continue; // disconnected: no frames can cross it
+        let mut out = vec![SimDuration::from_nanos(u64::MAX); self.parts.len()];
+        if self.parts.len() > 1 {
+            for (_, ((a, _), (b, _)), latency) in self.wired_links() {
+                let (a, b) = (self.shared.shard_of(a.0), self.shared.shard_of(b.0));
+                if a != b {
+                    out[a] = out[a].min(latency);
+                    out[b] = out[b].min(latency);
+                }
             }
-            let a = self.shard_of(state.ends[0].0 .0);
-            let b = self.shard_of(state.ends[1].0 .0);
-            if a == b {
-                continue;
-            }
-            let latency = state.link.config.latency;
-            out[a] = out[a].min(latency);
-            out[b] = out[b].min(latency);
         }
         out
     }
 
-    /// The parallel engine: advance in windows `[gvt, end)` where
+    /// The engine: advance in windows `[gvt, end)` where
     ///
     /// ```text
     /// end = min( gvt + lookahead × cap,            doubling heuristic
@@ -1418,56 +1293,43 @@ impl Simulator {
     ///            deadline + 1ns )
     /// ```
     ///
-    /// Each dispatched shard runs on its parked pool worker; cross-shard
-    /// deliveries land in SPSC lanes drained at the barrier through the
-    /// canonical `EventKey`-ordered queues, so the merge — and every
-    /// observable result — is independent of the window schedule. The
-    /// `cap` multiplier doubles while windows stay cross-shard quiet (up
-    /// to [`Simulator::set_window_cap`]) and snaps back to 1 when a lane
+    /// and `lookahead` is the minimum cross-shard latency. The `cap`
+    /// multiplier doubles while windows stay cross-shard quiet (up to
+    /// [`Simulator::set_window_cap`]) and snaps back to 1 when an outbox
     /// carries traffic; the sound bound keeps any schedule correct.
-    ///
-    /// With `max_events`, stops early (at a window barrier) once the run
-    /// has processed at least that many events, returning `false`; the
-    /// sequential engine counts per event, so an over-budget parallel run
-    /// may process a window's worth more before noticing.
-    fn run_parallel_until(
-        &mut self,
-        deadline: SimTime,
-        lookahead: SimDuration,
-        max_events: Option<u64>,
-    ) -> bool {
-        let shard_count = self.queues.len();
-        if self.pool.as_ref().map(|p| p.shards) != Some(shard_count) {
-            self.pool = Some(WorkerPool::new(shard_count));
+    /// Returns `false` once `max_events` events (chaos steps included)
+    /// have been processed, `true` when the queues drain or the next event
+    /// lies past `deadline`.
+    fn run_windows(&mut self, deadline: SimTime, max_events: u64) -> bool {
+        self.check_poisoned();
+        self.ensure_partition();
+        let count = self.parts.len();
+        if count > 1 && self.pool.as_ref().map(|p| p.jobs.len()) != Some(count) {
+            self.pool = Some(WorkerPool::new(count));
         }
         let l_out = self.per_shard_out_lookahead();
-        let start_processed = self.processed_events;
+        let lookahead = l_out.iter().copied().min().unwrap_or(SimDuration::ZERO);
+        let horizon = sat_add(deadline, SimDuration::from_nanos(1));
+        let start = self.processed_events;
         let mut cap_mult: u64 = 1;
         loop {
-            if let Some(max) = max_events {
-                if self.processed_events - start_processed >= max {
-                    return false;
-                }
+            let spent = self.processed_events - start;
+            if spent >= max_events {
+                return false;
             }
             let t_chaos = self.chaos_queue.peek_time();
-            let t_node = self.queues.iter().filter_map(|q| q.peek_time()).min();
-            let gvt = match (t_chaos, t_node) {
-                (None, None) => break,
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
+            let t_node = self.parts.iter().filter_map(|p| p.queue.peek_time()).min();
+            let Some(gvt) = t_chaos.into_iter().chain(t_node).min() else {
+                return true;
             };
             if gvt > deadline {
-                break;
+                return true;
             }
             if t_chaos == Some(gvt) {
                 // Chaos sorts before node events at the same instant
-                // (CLASS_CHAOS), so apply every step due now before opening
-                // a window.
-                while self.chaos_queue.peek_time() == Some(gvt) {
-                    let ev = self.chaos_queue.pop().expect("peeked chaos event");
-                    self.apply_chaos_event(ev);
-                }
+                // (CLASS_CHAOS): apply the step, then look again.
+                let ev = self.chaos_queue.pop().expect("peeked chaos event");
+                self.apply_chaos_event(ev);
                 continue;
             }
             // Heuristic width, then clamp to the sound emission bound:
@@ -1477,142 +1339,105 @@ impl Simulator {
                 gvt,
                 SimDuration::from_nanos(lookahead.as_nanos().saturating_mul(cap_mult)),
             );
-            for (s, q) in self.queues.iter().enumerate() {
-                if let Some(t) = q.peek_time() {
-                    end = end.min(sat_add(t, l_out[s]));
+            for (part, l) in self.parts.iter().zip(&l_out) {
+                if let Some(t) = part.queue.peek_time() {
+                    end = end.min(sat_add(t, *l));
                 }
             }
             if let Some(tc) = t_chaos {
                 end = end.min(tc);
             }
-            end = end.min(SimTime::from_nanos(deadline.as_nanos().saturating_add(1)));
-            // Dispatch the window to every shard with due events. No
-            // borrow of the queues is live once a worker starts mutating
-            // its own: only raw pointers cross the channel.
-            let mut active = 0usize;
-            let queues_ptr = self.queues.as_mut_ptr();
-            let topo: *const Topo = &self.topo;
-            let counters: *const SimCounters = &self.counters;
-            let obs: *const Obs = &self.obs;
-            let node_shard = self.node_shard.as_ptr();
-            let node_shard_len = self.node_shard.len();
-            let pool = self.pool.as_ref().expect("pool built above");
-            for shard in 0..shard_count {
-                // SAFETY: reading the shard's own queue head; workers for
-                // lower shards only mutate *their* queues.
-                let due = unsafe { (*queues_ptr.add(shard)).peek_time() };
-                if due.is_none_or(|t| t >= end) {
-                    continue; // nothing to do this window
-                }
-                let job = WindowJob {
-                    gvt,
-                    end,
-                    topo,
-                    counters,
-                    obs,
-                    node_shard,
-                    node_shard_len,
-                    queues: queues_ptr,
-                    lanes: pool.lanes.as_ptr(),
-                    shards: shard_count,
-                };
-                pool.jobs[shard]
-                    .send(Job::Window(job))
-                    .expect("shard worker channel closed");
-                active += 1;
-            }
-            debug_assert!(active > 0, "window [{gvt:?}, {end:?}) dispatched no shard");
-            // Barrier: block until every dispatched worker reports.
-            let mut poison: Option<(usize, String)> = None;
-            for _ in 0..active {
-                let done = pool
-                    .done_rx
-                    .recv()
-                    .expect("shard worker died without reporting");
-                match done.result {
-                    Ok((stats, last)) => {
-                        self.unrouted_frames += stats.unrouted;
-                        self.processed_events += stats.processed;
-                        if last > self.time {
-                            self.time = last;
-                        }
-                    }
-                    Err(msg) => poison = Some((done.shard, msg)),
-                }
-            }
-            // Drain the SPSC lanes into the canonical per-shard queues.
-            // Push order cannot matter: queues order by EventKey.
-            let mut saw_cross = false;
-            for src in 0..shard_count {
-                for dst in 0..shard_count {
-                    // SAFETY: all workers are parked (every done report
-                    // collected), so the coordinator is the sole accessor.
-                    let lane = unsafe { &mut *pool.lanes[src * shard_count + dst].get() };
-                    if lane.is_empty() {
-                        continue;
-                    }
-                    saw_cross = true;
-                    for e in lane.drain(..) {
-                        self.queues[dst].push(e.key, e.kind);
-                    }
-                }
-            }
-            cap_mult = if saw_cross {
+            end = end.min(horizon);
+            let crossed = self.run_window_on_shards(gvt, end, max_events - spent);
+            cap_mult = if crossed {
                 1
             } else {
                 cap_mult.saturating_mul(2).min(self.window_cap)
             };
-            self.obs.set_now_nanos(self.time.as_nanos());
-            if let Some((shard, msg)) = poison {
-                let tail = self.obs.journal_tail(12);
-                let diag = format!(
-                    "shard {shard} worker panicked in window [{}ns, {}ns): {msg}\njournal tail:\n{tail}",
-                    gvt.as_nanos(),
-                    end.as_nanos()
-                );
-                self.poisoned = Some(diag.clone());
-                panic!("{diag}");
-            }
         }
-        true
     }
 
-    /// Run until no events remain (the network is quiescent), with a safety
-    /// cap on event count to catch livelock in tests. With shards
-    /// configured (and tracing off) this uses the same windowed parallel
-    /// engine as [`Simulator::run_until`] — quiescence is detected at
-    /// window barriers, where the coordinator holds the global queue view —
-    /// and produces results bit-identical to the sequential engine. When
-    /// the cap trips, the parallel engine may have processed up to one
-    /// window more than the sequential engine would before returning
-    /// `false`.
-    pub fn run_until_idle(&mut self, max_events: u64) -> bool {
-        self.check_poisoned();
-        self.ensure_partition();
-        let lookahead = if self.queues.len() > 1 && !self.tracer.enabled() {
-            self.cross_shard_lookahead()
-        } else {
-            None
-        };
-        if let Some(la) = lookahead {
-            // Deadline at the saturating horizon: windows stop when the
-            // queues drain (or the event budget trips).
-            return self.run_parallel_until(SimTime::from_nanos(u64::MAX), la, Some(max_events));
+    /// Run one window `[start, end)` on every shard with due events —
+    /// inline on one shard, otherwise on the pool — and collect it at the
+    /// barrier. Returns whether any event crossed shards.
+    fn run_window_on_shards(&mut self, start: SimTime, end: SimTime, budget: u64) -> bool {
+        if let [part] = self.parts.as_mut_slice() {
+            let (stats, last) = run_window(part, &self.shared, start, end, budget);
+            peering_obs::clear_dispatch_key();
+            self.absorb(stats, last);
+            return false;
         }
-        let mut n = 0;
-        while self.pending_events() > 0 {
-            self.step();
-            n += 1;
-            if n >= max_events {
-                return false;
+        let pool = self.pool.as_ref().expect("pool built for this shard count");
+        let mut active = 0usize;
+        for (part, jobs) in self.parts.iter_mut().zip(&pool.jobs) {
+            if part.queue.peek_time().is_none_or(|t| t >= end) {
+                continue; // nothing to do this window
+            }
+            let window = Window {
+                shard: std::mem::take(part),
+                shared: Arc::clone(&self.shared),
+                start,
+                end,
+                budget,
+            };
+            jobs.send(window).expect("shard worker channel closed");
+            active += 1;
+        }
+        debug_assert!(
+            active > 0,
+            "window [{start:?}, {end:?}) dispatched no shard"
+        );
+        // Barrier: every dispatched shard comes back, panicked or not.
+        let mut poison: Option<(usize, String)> = None;
+        for _ in 0..active {
+            let WorkerDone { shard, result } = self
+                .pool
+                .as_ref()
+                .expect("pool built for this shard count")
+                .done_rx
+                .recv()
+                .expect("shard worker died without reporting");
+            let index = shard.index;
+            self.parts[index] = shard;
+            match result {
+                Ok((stats, last)) => self.absorb(stats, last),
+                Err(msg) => poison = Some((index, msg)),
             }
         }
-        true
+        // Drain the outboxes into the destination queues. Push order
+        // cannot matter: queues order by EventKey.
+        let count = self.parts.len();
+        let mut crossed = false;
+        for src in 0..count {
+            for dst in 0..count {
+                let mut moved = std::mem::take(&mut self.parts[src].outbox[dst]);
+                crossed |= !moved.is_empty();
+                for e in moved.drain(..) {
+                    self.parts[dst].queue.push(e.key, e.kind);
+                }
+                self.parts[src].outbox[dst] = moved;
+            }
+        }
+        if let Some((shard, msg)) = poison {
+            let tail = self.shared.obs.journal_tail(12);
+            let diag = format!(
+                "shard {shard} worker panicked in window [{}ns, {}ns): {msg}\njournal tail:\n{tail}",
+                start.as_nanos(),
+                end.as_nanos()
+            );
+            self.poisoned = Some(diag.clone());
+            panic!("{diag}");
+        }
+        crossed
     }
 
-    /// Number of pending events (all shards plus scheduled chaos steps).
-    pub fn pending_events(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum::<usize>() + self.chaos_queue.len()
+    /// Merge one shard's window tallies and advance the clock to its last
+    /// event.
+    fn absorb(&mut self, stats: LocalStats, last: SimTime) {
+        self.unrouted_frames += stats.unrouted;
+        self.processed_events += stats.processed;
+        self.time = self.time.max(last);
+        self.shared.obs.set_now_nanos(self.time.as_nanos());
     }
 }
 
@@ -1796,6 +1621,76 @@ mod tests {
         assert!(base.0 > 0, "workload should deliver some frames");
         assert_eq!(sharded_outcome(2), base);
         assert_eq!(sharded_outcome(4), base);
+    }
+
+    #[test]
+    fn one_shard_run_until_idle_stops_after_exactly_n_events() {
+        let mut sim = Simulator::new(5);
+        let pinger = sim.add_node(Box::new(Pinger {
+            replies: 0,
+            target: MacAddr::from_id(2),
+            me: MacAddr::from_id(1),
+        }));
+        let echo = sim.add_node(Box::new(Echo { seen: 0 }));
+        let cfg = LinkConfig::with_latency(SimDuration::from_millis(1));
+        let link = sim.connect(pinger, PortId(0), echo, PortId(0), cfg);
+        for i in 0..10 {
+            sim.set_timer(pinger, SimDuration::from_millis(10 * i), i);
+        }
+        // Link down at 1.5 ms: between the ping's arrival (1 ms) and the
+        // echo's (2 ms).
+        let mut plan = ChaosPlan::new();
+        plan.push(crate::chaos::Incident::flap(
+            link,
+            SimDuration::from_micros(1_500),
+            SimDuration::from_secs(1),
+        ));
+        sim.schedule_chaos(&plan);
+        // Timer, ping delivery, chaos step: three events, then stop.
+        assert!(!sim.run_until_idle(3));
+        assert_eq!(sim.processed_events, 3);
+        assert!(!sim.link_up(link), "the chaos step counts as one event");
+        assert_eq!(sim.node::<Echo>(echo).unwrap().seen, 1);
+        assert_eq!(sim.node::<Pinger>(pinger).unwrap().replies, 0);
+        // One more: the echo in flight before the flap.
+        assert!(!sim.run_until_idle(1));
+        assert_eq!(sim.processed_events, 4);
+        assert_eq!(sim.node::<Pinger>(pinger).unwrap().replies, 1);
+        // Nine more timers (their pings die on the downed link) and the
+        // link-up step drain the queue.
+        assert!(sim.run_until_idle(100));
+        assert_eq!(sim.processed_events, 14);
+        assert!(sim.link_up(link));
+    }
+
+    #[test]
+    fn zero_latency_cross_shard_link_runs_as_one_shard() {
+        let outcome = |shards: usize| {
+            let mut sim = Simulator::new(8);
+            let pinger = sim.add_node(Box::new(Pinger {
+                replies: 0,
+                target: MacAddr::from_id(2),
+                me: MacAddr::from_id(1),
+            }));
+            let echo = sim.add_node(Box::new(Echo { seen: 0 }));
+            let cfg = LinkConfig::with_latency(SimDuration::ZERO);
+            sim.connect(pinger, PortId(0), echo, PortId(0), cfg);
+            sim.set_shards(shards);
+            sim.set_node_shard(echo, shards - 1);
+            for i in 0..5 {
+                sim.set_timer(pinger, SimDuration::from_millis(i), i);
+            }
+            assert!(sim.run_until_idle(1_000));
+            (
+                sim.node::<Echo>(echo).unwrap().seen,
+                sim.node::<Pinger>(pinger).unwrap().replies,
+                sim.processed_events,
+                sim.now(),
+            )
+        };
+        let base = outcome(1);
+        assert_eq!(base.1, 5);
+        assert_eq!(outcome(2), base);
     }
 
     #[test]

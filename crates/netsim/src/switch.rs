@@ -46,7 +46,7 @@ impl LearningSwitch {
         }
     }
 
-    /// Override the label shown in traces.
+    /// Override the label returned by `Node::label`.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self

@@ -309,7 +309,7 @@ struct LaneBuf {
     evicted: u64,
 }
 
-/// Lane-striped journal. Lane 0 is the main thread / sequential engine;
+/// Lane-striped journal. Lane 0 is the main thread (one-shard runs, chaos);
 /// sharded simulator workers write lanes `1..n`.
 pub(crate) struct Journal {
     lanes: [Mutex<LaneBuf>; MAX_LANES],

@@ -19,6 +19,7 @@
 //! is what lets tests assert on them and lets the convergence oracle
 //! attach "what led up to this" to an invariant violation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod journal;

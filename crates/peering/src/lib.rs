@@ -16,6 +16,7 @@
 //! | [`platform`] | §4 | [`platform::Peering`]: builds the whole testbed in the simulator and provisions experiments turn-key |
 //! | [`serving`] | §3.3, §4.7 | Anycast serving harness: announce one prefix from N PoPs, predict + observe per-PoP catchment, drive churn shifts |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocation;

@@ -23,6 +23,8 @@
 //! pure-Rust reference propagation model in [`model`]. Reports are
 //! bit-identical across simulator shard counts for the same seed.
 
+#![forbid(unsafe_code)]
+
 pub mod leak;
 pub mod model;
 pub mod net;

@@ -38,7 +38,7 @@ pub struct HarnessOptions {
     /// a session re-establishes) into every router. Exists so the test
     /// suite can prove the oracle actually catches resync divergence.
     pub skip_session_up_replay: bool,
-    /// Number of simulator shards to run on (1 = sequential engine). The
+    /// Number of simulator shards to run on (1 = one shard, run inline). The
     /// outcome is bit-identical at any shard count; tests sweep this to
     /// prove it.
     pub shards: usize,

@@ -15,6 +15,8 @@
 //!
 //! [`ChaosPlan`]: peering_netsim::ChaosPlan
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod oracle;
 

@@ -17,6 +17,8 @@
 //! * [`cli`] — the textual command interface over [`client`], mirroring
 //!   the `peering` utility (`peering prefix announce …`).
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod client;
 pub mod node;

@@ -47,7 +47,7 @@ pub struct FabricConfig {
     /// Experiments attached (one per PoP, round-robin), each announcing
     /// its leased /24 — the ADD-PATH fan-out consumers.
     pub experiments: usize,
-    /// Simulator shards (1 = sequential engine).
+    /// Simulator shards (1 = one shard, run inline).
     pub shards: usize,
 }
 

@@ -14,6 +14,7 @@
 //! failing run IS its own reproducer — and the sharded simulator must
 //! produce bit-identical results on the workload at any shard count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;

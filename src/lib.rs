@@ -8,6 +8,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every figure and table.
 
+#![forbid(unsafe_code)]
+
 pub use peering_bgp as bgp;
 pub use peering_netsim as netsim;
 pub use peering_obs as obs;

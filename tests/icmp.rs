@@ -11,7 +11,11 @@
 
 use std::net::Ipv4Addr;
 
-use peering_repro::netsim::{Bytes, IcmpPacket, IpPacket, IpProto, SimDuration};
+use peering_repro::bgp::types::{prefix, Asn, RouterId};
+use peering_repro::netsim::{
+    ArpOp, ArpPacket, Bytes, Ctx, EtherFrame, EtherType, IcmpPacket, IpPacket, IpProto, LinkConfig,
+    MacAddr, Node, PortId, SimDuration, Simulator,
+};
 use peering_repro::platform::experiment::Proposal;
 use peering_repro::platform::intent::NeighborRole;
 use peering_repro::platform::internet::InternetAs;
@@ -19,7 +23,10 @@ use peering_repro::platform::platform::Peering;
 use peering_repro::platform::topology::{paper_intent, TopologyParams};
 use peering_repro::toolkit::client::AnnounceOptions;
 use peering_repro::toolkit::node::ExperimentNode;
-use peering_repro::vbgp::VbgpRouter;
+use peering_repro::vbgp::{
+    BackboneConfig, ControlCommunities, ControlEnforcer, DataEnforcer, NeighborConfig, NeighborId,
+    NeighborKind, PopId, VbgpRouter,
+};
 
 /// Platform with one experiment attached at the first PoP, its prefix
 /// announced (so replies can route back), and a destination address
@@ -226,4 +233,108 @@ fn icmp_errors_are_rate_limited_per_router() {
             .contains("icmp-suppressed reason=rate-limit"),
         "journal must record rate-limit suppressions"
     );
+}
+
+/// Records every frame that reaches it.
+struct Capture {
+    frames: Vec<EtherFrame>,
+}
+
+impl Node for Capture {
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, frame: EtherFrame) {
+        self.frames.push(frame);
+    }
+}
+
+#[test]
+fn time_exceeded_toward_an_unresolved_pop_sends_arp() {
+    // One router: a local neighbor on port 0, a backbone segment on port
+    // 1. The experiment prefix is delivered over the backbone to a remote
+    // PoP whose global address has not been ARPed yet.
+    let mut sim = Simulator::new(3);
+    let platform_asn = 47065u32;
+    let control =
+        ControlEnforcer::standalone(PopId(0), ControlCommunities::new(platform_asn as u16));
+    let mut router = VbgpRouter::new(
+        PopId(0),
+        Asn(platform_asn),
+        RouterId(1),
+        control,
+        DataEnforcer::new(),
+    );
+    router.set_port_mac(PortId(0), MacAddr::from_id(0x1000));
+    router.set_port_mac(PortId(1), MacAddr::from_id(0x1001));
+    router.add_neighbor(NeighborConfig {
+        id: NeighborId(1),
+        asn: Asn(100),
+        kind: NeighborKind::Transit,
+        port: PortId(0),
+        remote_mac: MacAddr::from_id(0x100),
+        local_addr: "10.0.1.2".parse().unwrap(),
+        remote_addr: "1.1.1.1".parse().unwrap(),
+        global_index: 1,
+        passive: true,
+    });
+    router.add_backbone_peer(BackboneConfig {
+        port: PortId(1),
+        remote_mac: MacAddr::from_id(0x2001),
+        local_addr: "10.255.0.1".parse().unwrap(),
+        remote_addr: "10.255.0.2".parse().unwrap(),
+        remote_neighbors: Vec::new(),
+        passive: true,
+    });
+    let remote_pop: Ipv4Addr = "127.127.0.9".parse().unwrap();
+    router
+        .mux
+        .install_delivery_remote(prefix("184.164.226.0/24"), PortId(1), remote_pop);
+    let vnh_mac = router.mux.vnh(NeighborId(1)).unwrap().mac;
+    let router = sim.add_node(Box::new(router));
+    let backbone = sim.add_node(Box::new(Capture { frames: Vec::new() }));
+    sim.connect(
+        router,
+        PortId(1),
+        backbone,
+        PortId(0),
+        LinkConfig::with_latency(SimDuration::from_millis(1)),
+    );
+
+    // The remote PoP relays an experiment's packet steered into the local
+    // neighbor's table; its TTL runs out here.
+    let src: Ipv4Addr = "184.164.226.5".parse().unwrap();
+    let mut probe = IpPacket::new(
+        src,
+        "192.168.0.1".parse().unwrap(),
+        IpProto::Udp,
+        Bytes::from_static(b"probe"),
+    );
+    probe.header.ttl = 1;
+    let frame = EtherFrame::new(
+        vnh_mac,
+        MacAddr::from_id(0x2001),
+        EtherType::Ipv4,
+        probe.encode(),
+    );
+    sim.inject_frame(router, PortId(1), frame);
+    sim.run_for(SimDuration::from_millis(10));
+
+    // The reply cannot go out yet, but the router asks for the remote
+    // PoP's MAC on the backbone, as it does for any data frame.
+    let stats = &sim.node::<VbgpRouter>(router).unwrap().stats;
+    assert_eq!(stats.ttl_expired, 1);
+    assert_eq!(stats.icmp_sent, 0);
+    assert_eq!(
+        stats.no_route, 0,
+        "a deliverable reply is not a no-route drop"
+    );
+    let asked: Vec<Ipv4Addr> = sim
+        .node::<Capture>(backbone)
+        .unwrap()
+        .frames
+        .iter()
+        .filter(|f| f.ethertype == EtherType::Arp)
+        .filter_map(|f| ArpPacket::decode(&f.payload))
+        .filter(|a| a.op == ArpOp::Request)
+        .map(|a| a.target_ip)
+        .collect();
+    assert_eq!(asked, vec![remote_pop]);
 }
